@@ -11,8 +11,8 @@ use gpmr_apps::text::{chunk_text, generate_text, generate_zipf_text, Dictionary}
 use gpmr_apps::wo::{sample_word_keys, WoJob};
 use gpmr_bench::perf as perfsuite;
 use gpmr_core::{
-    derive_splitters, run_job_instrumented, run_job_journaled, EngineTuning, GpmrJob, JobResult,
-    JobTrace, Journal, PartitionMode, Pod,
+    derive_splitters, run, run_job_instrumented, EngineTuning, GpmrJob, JobResult, Journal,
+    PartitionMode, Pod, RunOptions,
 };
 use gpmr_sim_gpu::{FaultPlan, GpuSpec, PcieLink};
 use gpmr_sim_net::{Cluster, CpuSpec, Nic, Topology};
@@ -345,37 +345,26 @@ fn read_file(path: &str) -> Result<String, CliError> {
     std::fs::read_to_string(path).map_err(|e| CliError::Invalid(format!("cannot read {path}: {e}")))
 }
 
-/// A finished job plus the telemetry handle that recorded it.
-type RunOutcome<J> = (
-    JobResult<<J as GpmrJob>::Key, <J as GpmrJob>::Value>,
-    Telemetry,
-);
-
-/// Run one job with telemetry on when the Gantt chart or any output file
-/// needs it, off otherwise (zero recording overhead).
-fn run_with_tel<J: GpmrJob>(
+/// Run one benchmark job, recording into `tel` and `journal`.
+fn run_bench<J: GpmrJob>(
     cluster: &mut Cluster,
     job: &J,
     chunks: Vec<J::Chunk>,
     tuning: &EngineTuning,
-    need_tel: bool,
+    tel: &Telemetry,
     journal: Option<&mut Journal>,
-) -> Result<RunOutcome<J>, CliError>
+) -> Result<JobResult<J::Key, J::Value>, CliError>
 where
     J::Key: Pod,
     J::Value: Pod,
 {
-    let tel = if need_tel {
-        Telemetry::enabled()
-    } else {
-        Telemetry::disabled()
+    let opts = RunOptions {
+        tuning: *tuning,
+        telemetry: tel.clone(),
+        ..RunOptions::default()
     };
-    let result = match journal {
-        Some(j) => run_job_journaled(cluster, job, chunks, tuning, &tel, j),
-        None => run_job_instrumented(cluster, job, chunks, tuning, &tel),
-    }
-    .map_err(|e| CliError::Invalid(e.to_string()))?;
-    Ok((result, tel))
+    run(cluster, job, chunks, opts.with_journal(journal))
+        .map_err(|e| CliError::Invalid(e.to_string()))
 }
 
 /// `--journal`/`--resume`/`--checkpoint-every`, validated together.
@@ -455,9 +444,8 @@ fn finish_run(
     let snap = tel.snapshot();
     write_outputs(out, &snap, outs)?;
     if want_trace {
-        let tr = JobTrace::from_telemetry(&snap);
         out.push('\n');
-        out.push_str(&tr.gantt(gpus, 100));
+        out.push_str(&export::gantt(&snap, gpus, 100));
     }
     Ok(())
 }
@@ -757,7 +745,13 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
     let seed: u64 = args.get_or("seed", 42)?;
     let want_trace = args.flag("trace");
     let outs = OutFiles::from_args(args);
-    let need_tel = want_trace || outs.any();
+    // Telemetry is on only when the Gantt chart or an output file needs
+    // it (zero recording overhead otherwise).
+    let tel = if want_trace || outs.any() {
+        Telemetry::enabled()
+    } else {
+        Telemetry::disabled()
+    };
     if gpus == 0 || gpus > 1024 {
         return Err(CliError::Invalid("--gpus must be in 1..=1024".into()));
     }
@@ -830,14 +824,7 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
                 );
                 job = job.with_range_partition(splitters);
             }
-            let (result, tel) = run_with_tel(
-                &mut cluster,
-                &job,
-                chunks,
-                &tuning,
-                need_tel,
-                journal.as_mut(),
-            )?;
+            let result = run_bench(&mut cluster, &job, chunks, &tuning, &tel, journal.as_mut())?;
             let mut out = report("Sparse Integer Occurrence", gpus, n as u64, &result);
             out.push_str(&partition_note);
             journal_line(&mut out, &journal);
@@ -867,14 +854,7 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
                 );
                 job = job.with_partition(PartitionMode::Range { splitters });
             }
-            let (result, tel) = run_with_tel(
-                &mut cluster,
-                &job,
-                chunks,
-                &tuning,
-                need_tel,
-                journal.as_mut(),
-            )?;
+            let result = run_bench(&mut cluster, &job, chunks, &tuning, &tel, journal.as_mut())?;
             let mut out = report("Word Occurrence", gpus, n as u64, &result);
             out.push_str(&partition_note);
             journal_line(&mut out, &journal);
@@ -886,12 +866,12 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
             let centers = kmc::initial_centers(32, seed);
             let data = kmc::generate_points(n, 32, seed + 1);
             let chunks = gpmr_core::SliceChunk::split(&data, chunk_items(16, n));
-            let (result, tel) = run_with_tel(
+            let result = run_bench(
                 &mut cluster,
                 &KmcJob::new(centers),
                 chunks,
                 &tuning,
-                need_tel,
+                &tel,
                 journal.as_mut(),
             )?;
             let mut out = report(
@@ -908,12 +888,12 @@ fn cmd_run(args: &Args) -> Result<String, CliError> {
             let n: usize = args.get_or("size", 1_000_000)?;
             let data = lr::generate_samples(n, 2.0, -1.0, seed);
             let chunks = gpmr_core::SliceChunk::split(&data, chunk_items(8, n));
-            let (result, tel) = run_with_tel(
+            let result = run_bench(
                 &mut cluster,
                 &LrJob,
                 chunks,
                 &tuning,
-                need_tel,
+                &tel,
                 journal.as_mut(),
             )?;
             let mut out = report("Linear Regression", gpus, n as u64, &result);

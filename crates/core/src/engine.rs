@@ -12,37 +12,33 @@
 //! * Bin sends reserve NIC send/receive engines through the fabric;
 //! * Sort and Reduce run per-rank after all inbound pairs arrive.
 //!
-//! Data is computed for real — the output of [`run_job`] is bit-exact and
-//! is verified against CPU references in the application crates.
+//! Every job goes through one entry point, [`run`], configured by
+//! [`RunOptions`]; [`run_job`] is the paper-default shorthand. Internally
+//! a run is an `Engine` with one method per pipeline stage: dispatch,
+//! map, bin-and-send, gather, sort, reduce, and timing assembly.
+//!
+//! Data is computed for real — the output of [`run`] is bit-exact and is
+//! verified against CPU references in the application crates.
 
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 
 use gpmr_primitives::{
-    bitonic_sort_pairs_by, bits_for_radix, extract_segments, sort_pairs_with_bits_config, RadixKey,
-    Segments, SortConfig,
+    bitonic_sort_pairs_by, bits_for_radix, extract_segments, sort_pairs_with_bits, RadixKey,
+    Segments,
 };
-use gpmr_sim_gpu::{FaultPlan, SimDuration, SimTime};
-use gpmr_sim_net::{Cluster, Fabric, Mailbox};
-use gpmr_telemetry::analyze::{analyze, Analysis};
+use gpmr_sim_gpu::{SimDuration, SimTime};
+use gpmr_sim_net::{Cluster, Mailbox};
 use gpmr_telemetry::{Counter, Registry, Telemetry};
 
 use crate::error::{EngineError, EngineResult};
 use crate::helpers::{charge_partition, combine_pairs, split_buckets_bounded};
-use crate::job::{GpmrJob, MapMode, PartitionMode, SortMode};
+use crate::job::{GpmrJob, MapMode, PartitionMode, PipelineConfig, SortMode};
 use crate::journal::{fnv1a, hash_pairs, Fnv64, Journal, JournalRecord, RecordOutcome};
 use crate::pod::Pod;
 use crate::scheduler::WorkQueues;
 use crate::stats::{JobTimings, StageTimes};
-use crate::trace::{JobTrace, TraceKind};
 use crate::types::KvSet;
 use crate::Chunk;
-
-/// Result of a traced run: the job result paired with its schedule trace.
-pub type TracedRun<K, V> = EngineResult<(JobResult<K, V>, JobTrace)>;
-
-/// Result of an analyzed run: the job result paired with its performance
-/// diagnosis.
-pub type AnalyzedRun<K, V> = EngineResult<(JobResult<K, V>, Analysis)>;
 
 /// Engine policy knobs: scheduler behaviour and fixed-cost calibration.
 ///
@@ -119,10 +115,8 @@ impl EngineTuning {
     }
 }
 
-/// Caller-side control over a running job, threaded through the poolable
-/// entry points ([`run_job_controlled`]). The default is unrestricted: the
-/// engine behaves bit-identically to the classic `run_job*` family (which
-/// are thin wrappers passing exactly this default).
+/// Caller-side control over a running job ([`RunOptions::control`]). The
+/// default is unrestricted: the job runs to completion.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct RunControl {
     /// Stop the job at this simulated instant (cancellation, deadline).
@@ -144,11 +138,6 @@ pub struct RunControl {
 }
 
 impl RunControl {
-    /// Unrestricted control: run to completion (what `run_job` passes).
-    pub fn unrestricted() -> Self {
-        RunControl::default()
-    }
-
     /// Stop (cancel) the job at simulated instant `t`.
     pub fn stop_at(t: SimTime) -> Self {
         RunControl {
@@ -156,12 +145,67 @@ impl RunControl {
             ..RunControl::default()
         }
     }
+}
 
-    /// Inputs are device-resident on their home ranks (round chaining).
-    pub fn resident() -> Self {
-        RunControl {
-            inputs_resident: true,
-            ..RunControl::default()
+/// Everything a caller can set on one [`run`] besides the cluster, the job
+/// and its input. [`RunOptions::default`] is exactly [`run_job`]: default
+/// tuning, telemetry off, no stop, no journal.
+pub struct RunOptions<'j, K, V> {
+    /// Scheduler policy and overhead calibration.
+    pub tuning: EngineTuning,
+    /// Where chunk lifecycle spans, stage spans, queue-depth samples and
+    /// `engine.*` counters go; the cluster's devices and fabric are
+    /// attached for `gpu.*` and `fabric.*` metrics when it is enabled. A
+    /// disabled handle records nothing at near-zero cost.
+    pub telemetry: Telemetry,
+    /// Caller-side stop and residency control.
+    pub control: RunControl,
+    /// Write-ahead journal, attached with [`RunOptions::with_journal`].
+    pub journal: Option<JournalHook<'j, K, V>>,
+}
+
+impl<K, V> Default for RunOptions<'_, K, V> {
+    fn default() -> Self {
+        RunOptions {
+            tuning: EngineTuning::default(),
+            telemetry: Telemetry::disabled(),
+            control: RunControl::default(),
+            journal: None,
+        }
+    }
+}
+
+impl<'j, K: Pod, V: Pod> RunOptions<'j, K, V> {
+    /// Attach a write-ahead [`Journal`] (`None` leaves the run plain).
+    /// Every scheduling decision and stage commit is verified against (on
+    /// resume) or appended to (fresh, or once past the replay prefix) the
+    /// journal, so an interrupted run restarted with [`Journal::resume`]
+    /// finishes bit-identically to an uninterrupted one. Commits are
+    /// content-hashed, hence the `Pod` bounds. Journaling charges no
+    /// simulated time, and a stopped run leaves a consistent prefix that a
+    /// resume without the stop replays.
+    pub fn with_journal(mut self, journal: Option<&'j mut Journal>) -> Self {
+        self.journal = journal.map(|journal| JournalHook {
+            journal,
+            hash_pairs: hash_pairs::<K, V>,
+        });
+        self
+    }
+}
+
+/// A journal attached to a run, with the content hash for the job's pair
+/// types captured where the `Pod` bounds live.
+pub struct JournalHook<'j, K, V> {
+    pub(crate) journal: &'j mut Journal,
+    pub(crate) hash_pairs: fn(&[K], &[V]) -> u64,
+}
+
+impl<K, V> JournalHook<'_, K, V> {
+    /// A shorter-lived hook on the same journal (one per round).
+    pub(crate) fn reborrow(&mut self) -> JournalHook<'_, K, V> {
+        JournalHook {
+            journal: &mut *self.journal,
+            hash_pairs: self.hash_pairs,
         }
     }
 }
@@ -209,6 +253,72 @@ impl<K: crate::types::Key, V: crate::types::Value> JobResult<K, V> {
     }
 }
 
+/// Run `job` over `chunks` on `cluster` with the paper's defaults,
+/// returning per-rank outputs and the timing breakdown.
+pub fn run_job<J: GpmrJob>(
+    cluster: &mut Cluster,
+    job: &J,
+    chunks: Vec<J::Chunk>,
+) -> EngineResult<JobResult<J::Key, J::Value>> {
+    run(cluster, job, chunks, RunOptions::default())
+}
+
+/// [`run`] with explicit tuning and telemetry.
+pub fn run_job_instrumented<J: GpmrJob>(
+    cluster: &mut Cluster,
+    job: &J,
+    chunks: Vec<J::Chunk>,
+    tuning: &EngineTuning,
+    tel: &Telemetry,
+) -> EngineResult<JobResult<J::Key, J::Value>> {
+    run(
+        cluster,
+        job,
+        chunks,
+        RunOptions {
+            tuning: *tuning,
+            telemetry: tel.clone(),
+            ..RunOptions::default()
+        },
+    )
+}
+
+/// Run `job` over `chunks` on `cluster` under `opts`, returning per-rank
+/// outputs and the timing breakdown. Clocks are reset at entry so results
+/// of consecutive jobs on one cluster are independent. With a stop
+/// instant set the run is aborted there and surfaces as
+/// [`EngineError::Cancelled`] carrying chunk-conservation accounting.
+pub fn run<J: GpmrJob>(
+    cluster: &mut Cluster,
+    job: &J,
+    chunks: Vec<J::Chunk>,
+    opts: RunOptions<'_, J::Key, J::Value>,
+) -> EngineResult<JobResult<J::Key, J::Value>> {
+    let mut engine = Engine::new(cluster, job, chunks, opts)?;
+    engine.start()?;
+    while let Some(r) = engine.next_rank() {
+        if let Some((chunk_id, chunk)) = engine.dispatch(r)? {
+            engine.map_chunk(r, chunk_id, chunk)?;
+        }
+    }
+    if let Some(stop) = engine.control.stop_at {
+        return Err(engine.cancel(stop));
+    }
+    engine.deferred_bin()?;
+    let inbound = engine.gather_inbound()?;
+    let mut outputs = Vec::with_capacity(inbound.len());
+    for (r, inb) in (0..engine.ranks).zip(inbound) {
+        let out = if !engine.cfg.sort_and_reduce || inb.pairs.is_empty() {
+            engine.pass_through(r, inb.pairs)?
+        } else {
+            let (vals, segs) = engine.sort_rank(r, inb)?;
+            engine.reduce_rank(r, vals, segs)?
+        };
+        outputs.push(out);
+    }
+    engine.finish(outputs)
+}
+
 #[derive(Clone, Debug)]
 struct RankState<K, V, C> {
     cursor: SimTime,
@@ -219,10 +329,14 @@ struct RankState<K, V, C> {
     /// initial ranks; join instant plus local setup for elastic adds).
     /// Stage accounting measures Map from here.
     setup_end: SimTime,
-    /// False for a rank with a scheduled elastic add that has not reached
-    /// its join instant yet; flipped (once) the first time the scheduler
-    /// picks the rank.
-    joined: bool,
+    /// The join instant of a rank with a scheduled elastic add that has
+    /// not joined yet; taken (once) the first time the scheduler picks
+    /// the rank.
+    pending_join: Option<SimTime>,
+    /// When the fault plan kills this rank's GPU, if ever.
+    kill_at: Option<SimTime>,
+    /// Injected stalls not yet applied, in schedule order.
+    stalls: VecDeque<(SimTime, SimDuration)>,
     /// Map-end instants of chunks whose staging buffer is still occupied;
     /// an upload for a new chunk gates on the oldest entry once all
     /// `pipeline_depth` buffers are in flight.
@@ -239,8 +353,6 @@ struct RankState<K, V, C> {
     active: bool,
     /// False once the rank's GPU has been lost to an injected fault.
     alive: bool,
-    /// Next entry of the rank's injected-stall schedule to apply.
-    stall_idx: usize,
     /// Chunks already folded into this rank's GPU-resident accumulate
     /// state. Retained only when the fault plan schedules a kill for this
     /// rank in accumulate mode: the state dies with the device, so these
@@ -254,7 +366,9 @@ impl<K: crate::types::Key, V: crate::types::Value, C> Default for RankState<K, V
             cursor: SimTime::ZERO,
             compute_ready: SimTime::ZERO,
             setup_end: SimTime::ZERO,
-            joined: true,
+            pending_join: None,
+            kill_at: None,
+            stalls: VecDeque::new(),
             inflight: VecDeque::new(),
             last_map_end: SimTime::ZERO,
             last_d2h: SimTime::ZERO,
@@ -267,77 +381,84 @@ impl<K: crate::types::Key, V: crate::types::Value, C> Default for RankState<K, V
             store: KvSet::new(),
             active: true,
             alive: true,
-            stall_idx: 0,
             processed: Vec::new(),
         }
     }
 }
 
+/// An `engine.*` counter plus its value when this run started, so a
+/// registry shared across jobs still yields per-job numbers.
+struct RunCounter {
+    counter: Counter,
+    base: u64,
+}
+
+impl RunCounter {
+    fn new(reg: &Registry, name: &str) -> Self {
+        let counter = reg.counter(name);
+        RunCounter {
+            base: counter.get(),
+            counter,
+        }
+    }
+
+    fn inc(&self) {
+        self.counter.inc();
+    }
+
+    fn add(&self, n: u64) {
+        self.counter.add(n);
+    }
+
+    /// What this run added to the counter.
+    fn this_run(&self) -> u64 {
+        self.counter.get().saturating_sub(self.base)
+    }
+}
+
 /// The engine's telemetry context: the caller's [`Telemetry`] handle (for
-/// spans and counter samples) plus cached `engine.*` counter handles.
+/// spans and counter samples) plus the `engine.*` counters.
 ///
 /// Counters are always real — when the caller's handle is disabled they go
 /// to a private registry — so [`JobTimings`] is a thin consumer of
-/// telemetry counters in every mode, and a shared enabled registry reused
-/// across jobs still yields per-job numbers via the `base` deltas.
+/// telemetry counters in every mode.
 struct EngineTel {
     tel: Telemetry,
-    dispatched: Counter,
-    stolen: Counter,
-    requeued: Counter,
-    gpus_lost: Counter,
-    retries: Counter,
-    stalls: Counter,
-    pairs_emitted: Counter,
-    pairs_shuffled: Counter,
-    gpus_added: Counter,
-    base: [u64; 9],
+    dispatched: RunCounter,
+    stolen: RunCounter,
+    requeued: RunCounter,
+    gpus_lost: RunCounter,
+    retries: RunCounter,
+    stalls: RunCounter,
+    pairs_emitted: RunCounter,
+    pairs_shuffled: RunCounter,
+    gpus_added: RunCounter,
 }
 
 impl EngineTel {
     fn new(tel: &Telemetry) -> Self {
         let reg = tel.registry().cloned().unwrap_or_else(Registry::new);
-        let dispatched = reg.counter("engine.chunks_dispatched");
-        let stolen = reg.counter("engine.chunks_stolen");
-        let requeued = reg.counter("engine.chunks_requeued");
-        let gpus_lost = reg.counter("engine.gpus_lost");
-        let retries = reg.counter("engine.transfer_retries");
-        let stalls = reg.counter("engine.stalls_injected");
-        let pairs_emitted = reg.counter("engine.pairs_emitted");
-        let pairs_shuffled = reg.counter("engine.pairs_shuffled");
-        let gpus_added = reg.counter("engine.gpus_added");
-        let base = [
-            dispatched.get(),
-            stolen.get(),
-            requeued.get(),
-            gpus_lost.get(),
-            retries.get(),
-            stalls.get(),
-            pairs_emitted.get(),
-            pairs_shuffled.get(),
-            gpus_added.get(),
-        ];
         EngineTel {
             tel: tel.clone(),
-            dispatched,
-            stolen,
-            requeued,
-            gpus_lost,
-            retries,
-            stalls,
-            pairs_emitted,
-            pairs_shuffled,
-            gpus_added,
-            base,
+            dispatched: RunCounter::new(&reg, "engine.chunks_dispatched"),
+            stolen: RunCounter::new(&reg, "engine.chunks_stolen"),
+            requeued: RunCounter::new(&reg, "engine.chunks_requeued"),
+            gpus_lost: RunCounter::new(&reg, "engine.gpus_lost"),
+            retries: RunCounter::new(&reg, "engine.transfer_retries"),
+            stalls: RunCounter::new(&reg, "engine.stalls_injected"),
+            pairs_emitted: RunCounter::new(&reg, "engine.pairs_emitted"),
+            pairs_shuffled: RunCounter::new(&reg, "engine.pairs_shuffled"),
+            gpus_added: RunCounter::new(&reg, "engine.gpus_added"),
         }
     }
 
-    /// Record a pipeline stage event as a span on the rank's track. The
+    /// Record a pipeline stage event as a span of `kind` (a name from
+    /// `gpmr_telemetry::analyze::SPAN_KINDS`) on the rank's track. The
     /// `detail` closure only runs when telemetry is enabled.
     fn event(
         &self,
         rank: u32,
-        kind: TraceKind,
+        kind: &str,
         start: SimTime,
         end: SimTime,
         detail: impl FnOnce() -> String,
@@ -349,7 +470,7 @@ impl EngineTel {
     fn child_event(
         &self,
         rank: u32,
-        kind: TraceKind,
+        kind: &str,
         start: SimTime,
         end: SimTime,
         parent: u64,
@@ -359,7 +480,7 @@ impl EngineTel {
             return;
         }
         self.tel
-            .span(rank, kind.name(), start.as_secs(), end.as_secs())
+            .span(rank, kind, start.as_secs(), end.as_secs())
             .parent(parent)
             .attr_with("detail", detail)
             .record();
@@ -377,28 +498,14 @@ impl EngineTel {
             .attr("chunk", chunk_id.to_string())
             .record();
     }
-
-    /// Count a chunk dispatch and sample the rank's queue depth.
-    fn dispatch(&self, rank: u32, at: SimTime, depth: usize) {
-        self.dispatched.inc();
-        self.tel
-            .sample(rank, "queue_depth", at.as_secs(), depth as f64);
-    }
-
-    fn delta(c: &Counter, base: u64) -> u64 {
-        c.get().saturating_sub(base)
-    }
 }
 
-/// Journal hooks threaded through the engine for journaled runs. Plain
-/// runs pass `None` everywhere, so the disabled path does no hashing, no
-/// I/O, and no extra counter work — journal-less runs stay byte-identical
-/// in timing and output to an engine without the journal.
+/// A journal hook plus its `engine.journal_*` counters. Plain runs have
+/// none, so the disabled path does no hashing, no I/O, and no extra
+/// counter work — journal-less runs stay byte-identical in timing and
+/// output to an engine without the journal.
 struct JournalCtx<'j, K, V> {
-    journal: &'j mut Journal,
-    /// Content hash over an ordered pair buffer; instantiated at the
-    /// journaled entry point, where the `Pod` bounds live.
-    hash_pairs: fn(&[K], &[V]) -> u64,
+    hook: JournalHook<'j, K, V>,
     /// `engine.journal_records` — records verified or appended.
     records: Counter,
     /// `engine.journal_replayed` — records verified against the prefix.
@@ -407,1132 +514,734 @@ struct JournalCtx<'j, K, V> {
     flushes: Counter,
 }
 
-/// Verify-or-append one journal record (no-op without a journal context).
-/// Journaling never charges simulated time; a flush is recorded as a
-/// zero-duration `JournalFlush` span at the commit instant.
-fn jrecord<K, V>(
-    jctx: &mut Option<JournalCtx<'_, K, V>>,
-    tel: &EngineTel,
-    rank: u32,
-    at: SimTime,
-    rec: JournalRecord,
-) -> EngineResult<()> {
-    let Some(ctx) = jctx.as_mut() else {
-        return Ok(());
-    };
-    match ctx.journal.record(&rec).map_err(EngineError::from)? {
-        RecordOutcome::Replayed => ctx.replayed.inc(),
-        RecordOutcome::Buffered => ctx.records.inc(),
-        RecordOutcome::Flushed => {
-            ctx.records.inc();
-            ctx.flushes.inc();
-            let on_disk = ctx.journal.replay_len() + ctx.journal.appended();
-            tel.event(rank, TraceKind::JournalFlush, at, at, || {
-                format!("{on_disk} record(s) durable")
-            });
-        }
-    }
-    Ok(())
+/// Everything a rank received for its sort stage: the concatenated pairs,
+/// the per-delivery (arrival, bytes) schedule for streamed input uploads,
+/// and the folded key-range bound.
+struct Inbound<K, V> {
+    pairs: KvSet<K, V>,
+    parts: Vec<(SimTime, u64)>,
+    max_radix: u64,
 }
 
-/// Time a transfer through the fabric, retrying plan-injected failures
-/// with capped exponential backoff. Returns the arrival instant at `to`,
-/// or [`EngineError::TransferFailed`] once the retry budget is exhausted.
-fn transfer_with_retry(
-    fabric: &mut Fabric,
-    from: u32,
-    to: u32,
-    mut ready: SimTime,
-    bytes: u64,
-    tuning: &EngineTuning,
-    tel: &EngineTel,
-) -> EngineResult<SimTime> {
-    let mut attempt = 0u32;
-    loop {
-        match fabric.try_send(from, to, ready, bytes, attempt) {
-            Ok(arrival) => return Ok(arrival),
-            Err(fault) => {
-                attempt += 1;
-                tel.retries.inc();
-                if attempt > tuning.max_transfer_retries {
-                    return Err(EngineError::TransferFailed { attempt, fault });
-                }
-                let backoff = SimDuration::from_secs(
-                    (tuning.retry_backoff_base_s * f64::from(1u32 << (attempt - 1).min(31)))
-                        .min(tuning.retry_backoff_cap_s),
-                );
-                tel.event(from, TraceKind::Retry, ready, ready + backoff, || {
-                    format!("transfer to rank {to} failed (attempt {attempt}); backing off")
-                });
-                ready += backoff;
+/// A rank's sorted values and the unique-key segments over them.
+type Sorted<K, V> = (Vec<V>, Segments<K>);
+
+/// One run in progress: the cluster and job, the options, and all
+/// scheduler state. Each method is one pipeline stage.
+struct Engine<'a, 'j, J: GpmrJob> {
+    cluster: &'a mut Cluster,
+    job: &'a J,
+    cfg: PipelineConfig,
+    tuning: EngineTuning,
+    control: RunControl,
+    tel: EngineTel,
+    journal: Option<JournalCtx<'j, J::Key, J::Value>>,
+    ranks: u32,
+    gpu_direct: bool,
+    depth: usize,
+    staging_slots: u64,
+    n_chunks: u64,
+    /// Cluster-wide setup end: when initial ranks may run kernels.
+    setup: SimTime,
+    /// Ranks that started the job; elastic adds are excluded so the
+    /// shuffle destinations do not depend on mid-job joins.
+    reducers: Vec<u32>,
+    st: Vec<RankState<J::Key, J::Value, J::Chunk>>,
+    queues: WorkQueues<(u64, J::Chunk)>,
+    mailbox: Mailbox<ShuffleMsg<J::Key, J::Value>>,
+    /// Chunk ids that moved off their home rank (steals, fault-plan
+    /// requeues): under `RunControl::inputs_resident` these still pay the
+    /// full upload — residency only holds where the chunk was born.
+    displaced: HashSet<u64>,
+}
+
+impl<'a, 'j, J: GpmrJob> Engine<'a, 'j, J> {
+    /// Validate the job against the cluster and the fault plan, journal the
+    /// job fingerprint, and lay out the initial per-rank state.
+    fn new(
+        cluster: &'a mut Cluster,
+        job: &'a J,
+        chunks: Vec<J::Chunk>,
+        opts: RunOptions<'j, J::Key, J::Value>,
+    ) -> EngineResult<Self> {
+        let (tuning, telemetry) = (opts.tuning, opts.telemetry);
+        let journal = opts.journal.map(|hook| {
+            let reg = telemetry.registry().cloned().unwrap_or_else(Registry::new);
+            JournalCtx {
+                hook,
+                records: reg.counter("engine.journal_records"),
+                replayed: reg.counter("engine.journal_replayed"),
+                flushes: reg.counter("engine.journal_flushes"),
             }
-        }
-    }
-}
-
-/// Handle a fail-stop GPU loss on rank `r` detected at simulated instant
-/// `now`: mark the rank dead, collect every chunk whose work died with the
-/// device (the in-flight chunk, anything still queued, and — in accumulate
-/// mode — chunks already folded into the lost GPU-resident state), and
-/// migrate them to surviving ranks round-robin, charging the fabric for
-/// each move. Errors with [`EngineError::GpuLost`] when no rank survives.
-#[allow(clippy::too_many_arguments)]
-fn kill_rank<K: crate::types::Key, V: crate::types::Value, C: Chunk>(
-    r: u32,
-    now: SimTime,
-    in_flight: Option<(u64, C)>,
-    queues: &mut WorkQueues<(u64, C)>,
-    st: &mut [RankState<K, V, C>],
-    cluster: &mut Cluster,
-    tuning: &EngineTuning,
-    tel: &EngineTel,
-    jctx: &mut Option<JournalCtx<'_, K, V>>,
-    displaced: &mut std::collections::HashSet<u64>,
-) -> EngineResult<()> {
-    let ri = r as usize;
-    tel.gpus_lost.inc();
-    jrecord(jctx, tel, r, now, JournalRecord::GpuLost { rank: r })?;
-    st[ri].alive = false;
-    st[ri].active = false;
-    st[ri].accum = None;
-    let mut orphans: Vec<(u64, C)> = std::mem::take(&mut st[ri].processed);
-    orphans.extend(in_flight);
-    orphans.extend(queues.drain_rank(r));
-    // Canonical migration order, independent of how the orphans mixed.
-    orphans.sort_by_key(|&(id, _)| id);
-    tel.event(r, TraceKind::GpuLost, now, now, || {
-        format!("GPU lost; {} chunks orphaned", orphans.len())
-    });
-    let live: Vec<u32> = (0..queues.ranks())
-        .filter(|&x| st[x as usize].alive)
-        .collect();
-    if live.is_empty() {
-        return Err(EngineError::GpuLost { rank: r });
-    }
-    // Spread orphans over survivors, starting just past the victim. The
-    // chunk data sits in the victim's *host* memory (chunks are streamed
-    // from rank-local storage and Bin is a CPU stage), so the surviving
-    // host forwards it across the fabric even though its GPU is gone.
-    let first = live.iter().position(|&x| x > r).unwrap_or(0);
-    for (i, (id, chunk)) in orphans.into_iter().enumerate() {
-        let dest = live[(first + i) % live.len()];
-        // The chunk leaves its home rank: any device residency is gone.
-        displaced.insert(id);
-        let bytes = chunk.serialize().len() as u64;
-        let arrival = transfer_with_retry(cluster.fabric(), r, dest, now, bytes, tuning, tel)?;
-        tel.event(r, TraceKind::Requeue, now, arrival, || {
-            format!("chunk {id} -> rank {dest}")
         });
-        jrecord(
-            jctx,
-            tel,
-            r,
-            arrival,
-            JournalRecord::Requeue {
-                chunk_id: id,
-                from: r,
-                to: dest,
-            },
-        )?;
-        queues.push_back(dest, (id, chunk));
-        let d = dest as usize;
-        st[d].cursor = st[d].cursor.max(arrival);
-        st[d].active = true;
-        tel.requeued.inc();
-    }
-    Ok(())
-}
+        let cfg = job.pipeline();
+        cfg.validate().map_err(EngineError::InvalidPipeline)?;
+        let ranks = cluster.size();
+        let gpu_direct = tuning.gpu_direct || cluster.gpu_direct();
+        let depth = tuning.pipeline_depth.max(1) as usize;
+        cluster.reset_clocks();
+        if telemetry.is_enabled() {
+            cluster.attach_telemetry(&telemetry);
+        }
+        let tel = EngineTel::new(&telemetry);
 
-/// The rank that takes over a lost rank's remaining pipeline work: the
-/// next live rank cyclically past `r`.
-fn takeover<K, V, C>(r: u32, st: &[RankState<K, V, C>]) -> Option<u32> {
-    let n = st.len() as u32;
-    (1..n).map(|i| (r + i) % n).find(|&x| st[x as usize].alive)
-}
-
-/// Run `job` over `chunks` on `cluster`, returning per-rank outputs and
-/// the timing breakdown. Clocks are reset at entry so results of
-/// consecutive jobs on one cluster are independent.
-pub fn run_job<J: GpmrJob>(
-    cluster: &mut Cluster,
-    job: &J,
-    chunks: Vec<J::Chunk>,
-) -> EngineResult<JobResult<J::Key, J::Value>> {
-    run_job_controlled(
-        cluster,
-        job,
-        chunks,
-        &EngineTuning::default(),
-        &Telemetry::disabled(),
-        &RunControl::unrestricted(),
-    )
-}
-
-/// [`run_job`] with explicit [`EngineTuning`] (scheduler policy and
-/// overhead calibration).
-pub fn run_job_tuned<J: GpmrJob>(
-    cluster: &mut Cluster,
-    job: &J,
-    chunks: Vec<J::Chunk>,
-    tuning: &EngineTuning,
-) -> EngineResult<JobResult<J::Key, J::Value>> {
-    run_job_controlled(
-        cluster,
-        job,
-        chunks,
-        tuning,
-        &Telemetry::disabled(),
-        &RunControl::unrestricted(),
-    )
-}
-
-/// The poolable, cancellable entry point the job service multiplexes onto
-/// a shared engine pool: [`run_job_instrumented`] plus a caller-side
-/// [`RunControl`]. With an unrestricted control this is bit-identical —
-/// outputs and simulated timings — to the classic entry points, which are
-/// thin wrappers over this path. With `stop_at` set the run is aborted at
-/// that instant and surfaces as [`EngineError::Cancelled`] carrying
-/// chunk-conservation accounting.
-pub fn run_job_controlled<J: GpmrJob>(
-    cluster: &mut Cluster,
-    job: &J,
-    chunks: Vec<J::Chunk>,
-    tuning: &EngineTuning,
-    tel: &Telemetry,
-    control: &RunControl,
-) -> EngineResult<JobResult<J::Key, J::Value>> {
-    run_job_impl(cluster, job, chunks, tuning, tel, None, control)
-}
-
-/// [`run_job`] recording into a caller-provided [`Telemetry`] handle:
-/// chunk lifecycle spans, stage spans, queue-depth samples, and `engine.*`
-/// counters, with the cluster's devices and fabric attached for `gpu.*`
-/// and `fabric.*` metrics. A disabled handle degrades to [`run_job_tuned`]
-/// at near-zero cost. Snapshot the handle afterwards for export (or derive
-/// a classic [`JobTrace`] with [`JobTrace::from_telemetry`]).
-pub fn run_job_instrumented<J: GpmrJob>(
-    cluster: &mut Cluster,
-    job: &J,
-    chunks: Vec<J::Chunk>,
-    tuning: &EngineTuning,
-    tel: &Telemetry,
-) -> EngineResult<JobResult<J::Key, J::Value>> {
-    run_job_controlled(
-        cluster,
-        job,
-        chunks,
-        tuning,
-        tel,
-        &RunControl::unrestricted(),
-    )
-}
-
-/// [`run_job`], additionally recording a full execution trace (every
-/// upload, kernel, send, steal, sort, and reduce with its simulated time
-/// window). Render it with [`JobTrace::gantt`]. The trace is derived from
-/// a telemetry recording ([`run_job_instrumented`] is the richer API).
-pub fn run_job_traced<J: GpmrJob>(
-    cluster: &mut Cluster,
-    job: &J,
-    chunks: Vec<J::Chunk>,
-) -> TracedRun<J::Key, J::Value> {
-    let tel = Telemetry::enabled();
-    let result = run_job_controlled(
-        cluster,
-        job,
-        chunks,
-        &EngineTuning::default(),
-        &tel,
-        &RunControl::unrestricted(),
-    )?;
-    Ok((result, JobTrace::from_telemetry(&tel.snapshot())))
-}
-
-/// [`run_job_instrumented`] with a private recording, returning the job
-/// result alongside the finished performance [`Analysis`] (critical path
-/// with per-stage attribution, per-rank busy/idle/blocked, imbalance, and
-/// findings). The recorder is snapshotted after engine teardown, so the
-/// analysis sees final memory-peak gauges and every span.
-pub fn run_job_analyzed<J: GpmrJob>(
-    cluster: &mut Cluster,
-    job: &J,
-    chunks: Vec<J::Chunk>,
-    tuning: &EngineTuning,
-) -> AnalyzedRun<J::Key, J::Value> {
-    let tel = Telemetry::enabled();
-    let result = run_job_controlled(
-        cluster,
-        job,
-        chunks,
-        tuning,
-        &tel,
-        &RunControl::unrestricted(),
-    )?;
-    Ok((result, analyze(&tel.snapshot())))
-}
-
-/// [`run_job_instrumented`] with a write-ahead [`Journal`]: every
-/// scheduling decision and stage commit is verified against (on resume) or
-/// appended to (fresh, or once past the replay prefix) the journal, so an
-/// interrupted run restarted with [`Journal::resume`] finishes
-/// bit-identically to an uninterrupted one. Requires `Pod` key/value types
-/// so commits can be content-hashed. Journaling charges no simulated time:
-/// a journaled run's outputs and timings equal the plain run's.
-pub fn run_job_journaled<J>(
-    cluster: &mut Cluster,
-    job: &J,
-    chunks: Vec<J::Chunk>,
-    tuning: &EngineTuning,
-    tel: &Telemetry,
-    journal: &mut Journal,
-) -> EngineResult<JobResult<J::Key, J::Value>>
-where
-    J: GpmrJob,
-    J::Key: Pod,
-    J::Value: Pod,
-{
-    run_job_controlled_journaled(
-        cluster,
-        job,
-        chunks,
-        tuning,
-        tel,
-        journal,
-        &RunControl::unrestricted(),
-    )
-}
-
-/// [`run_job_controlled`] with a write-ahead [`Journal`] (the service's
-/// journaled path). A stopped run leaves the journal holding a consistent
-/// prefix of the full run's records: resuming the same job without the
-/// stop replays that prefix and finishes bit-identically.
-#[allow(clippy::too_many_arguments)]
-pub fn run_job_controlled_journaled<J>(
-    cluster: &mut Cluster,
-    job: &J,
-    chunks: Vec<J::Chunk>,
-    tuning: &EngineTuning,
-    tel: &Telemetry,
-    journal: &mut Journal,
-    control: &RunControl,
-) -> EngineResult<JobResult<J::Key, J::Value>>
-where
-    J: GpmrJob,
-    J::Key: Pod,
-    J::Value: Pod,
-{
-    let reg = tel.registry().cloned().unwrap_or_else(Registry::new);
-    let jctx = JournalCtx {
-        journal,
-        hash_pairs: hash_pairs::<J::Key, J::Value>,
-        records: reg.counter("engine.journal_records"),
-        replayed: reg.counter("engine.journal_replayed"),
-        flushes: reg.counter("engine.journal_flushes"),
-    };
-    run_job_impl(cluster, job, chunks, tuning, tel, Some(jctx), control)
-}
-
-fn run_job_impl<J: GpmrJob>(
-    cluster: &mut Cluster,
-    job: &J,
-    chunks: Vec<J::Chunk>,
-    tuning: &EngineTuning,
-    telemetry: &Telemetry,
-    mut jctx: Option<JournalCtx<'_, J::Key, J::Value>>,
-    control: &RunControl,
-) -> EngineResult<JobResult<J::Key, J::Value>> {
-    let cfg = job.pipeline();
-    cfg.validate().map_err(EngineError::InvalidPipeline)?;
-    let ranks = cluster.size();
-    let gpu_direct = tuning.gpu_direct || cluster.gpu_direct();
-    let depth = tuning.pipeline_depth.max(1) as usize;
-    let sort_cfg = SortConfig::from_env();
-    cluster.reset_clocks();
-    if telemetry.is_enabled() {
-        cluster.attach_telemetry(telemetry);
-    }
-    let tel = EngineTel::new(telemetry);
-
-    // Every staging slot of the upload pipeline must fit on the device at
-    // once, plus one slot of GPU-direct staging (pairs parked in device
-    // memory for the NIC to source).
-    let staging_slots = depth as u64 + u64::from(gpu_direct);
-    let capacity = cluster.gpu(0).mem.capacity();
-    for c in &chunks {
-        if c.size_bytes().saturating_mul(staging_slots) > capacity {
+        // Every staging slot of the upload pipeline must fit on the device
+        // at once, plus one slot of GPU-direct staging (pairs parked in
+        // device memory for the NIC to source).
+        let staging_slots = tuning.staging_slots(cluster.gpu_direct());
+        let capacity = cluster.gpu(0).mem.capacity();
+        if let Some(c) = chunks
+            .iter()
+            .find(|c| c.size_bytes().saturating_mul(staging_slots) > capacity)
+        {
             return Err(EngineError::ChunkTooLarge {
                 bytes: c.size_bytes(),
                 capacity,
                 slots: staging_slots,
             });
         }
-    }
 
-    // Fault-injection state. Kills and stalls are read by the scheduler at
-    // its touch-points (chunk dispatch, chunk commit, sort readiness);
-    // transfer faults are applied inside `transfer_with_retry`.
-    let plan: Option<FaultPlan> = cluster.fault_plan().cloned();
-    let kill_at: Vec<Option<SimTime>> = (0..ranks)
-        .map(|r| plan.as_ref().and_then(|p| p.kill_time(r)))
-        .collect();
-    let stalls: Vec<Vec<(SimTime, SimDuration)>> = (0..ranks)
-        .map(|r| plan.as_ref().map_or_else(Vec::new, |p| p.stalls_for(r)))
-        .collect();
-
-    // Elastic adds: ranks with a scheduled GPU-add event join mid-job.
-    // They take no part in the initial distribution and are excluded from
-    // the reducer set, so the shuffle destinations — and therefore the
-    // per-rank outputs — are identical to a run on the initial cluster
-    // alone; added GPUs contribute map throughput by stealing.
-    let join_at: Vec<Option<SimTime>> = (0..ranks)
-        .map(|r| plan.as_ref().and_then(|p| p.add_time(r)))
-        .collect();
-    if let Some(p) = plan.as_ref() {
-        if let Some(r) = p.added_ranks().into_iter().find(|&r| r >= ranks) {
-            return Err(EngineError::InvalidPipeline(format!(
-                "fault plan adds rank {r} but the cluster has only {ranks} GPUs"
-            )));
-        }
-    }
-    let reducers: Vec<u32> = (0..ranks)
-        .filter(|&r| join_at[r as usize].is_none())
-        .collect();
-    if reducers.is_empty() {
-        return Err(EngineError::InvalidPipeline(
-            "fault plan defers every GPU with an add event; no rank can start the job".into(),
-        ));
-    }
-
-    // Chunks carry their original index as a canonical id: requeues and
-    // steals change *which rank* processes a chunk, never its identity, so
-    // receivers can order inbound buckets identically across fault plans.
-    let n_chunks = chunks.len() as u64;
-    let ids: Vec<(u64, J::Chunk)> = chunks
-        .into_iter()
-        .enumerate()
-        .map(|(i, c)| (i as u64, c))
-        .collect();
-    if jctx.is_some() {
-        // Job fingerprint: everything that shapes the schedule and the
-        // data. A resume against a journal written by a different job (or
-        // the same job on a different cluster shape) diverges on record 0
-        // instead of replaying garbage.
-        let mut fp = Fnv64::new();
-        fp.write_u64(u64::from(ranks));
-        fp.write_u64(reducers.len() as u64);
-        for &r in &reducers {
-            fp.write_u64(u64::from(r));
-        }
-        fp.write_u64(n_chunks);
-        fp.write_u64(depth as u64);
-        fp.write_u64(u64::from(gpu_direct));
-        fp.write_u64(cfg.map_mode as u64);
-        fp.write_u64(u64::from(cfg.combine));
-        fp.write_u64(cfg.partition.discriminant());
-        if let PartitionMode::Range { splitters } = &cfg.partition {
-            fp.write_u64(splitters.len() as u64);
-            for &s in splitters {
-                fp.write_u64(s);
+        // Fault injection. Kills and stalls are read by the scheduler at
+        // its touch-points (chunk dispatch, chunk commit, sort readiness);
+        // transfer faults are applied inside `Engine::transfer`. Elastic
+        // adds: ranks with a scheduled GPU-add event join mid-job. They
+        // take no part in the initial distribution and are excluded from
+        // the reducer set, so the shuffle destinations — and therefore the
+        // per-rank outputs — are identical to a run on the initial cluster
+        // alone; added GPUs contribute map throughput by stealing.
+        let plan = cluster.fault_plan().cloned();
+        let join_at: Vec<Option<SimTime>> = (0..ranks)
+            .map(|r| plan.as_ref().and_then(|p| p.add_time(r)))
+            .collect();
+        if let Some(p) = plan.as_ref() {
+            if let Some(r) = p.added_ranks().into_iter().find(|&r| r >= ranks) {
+                return Err(EngineError::InvalidPipeline(format!(
+                    "fault plan adds rank {r} but the cluster has only {ranks} GPUs"
+                )));
             }
         }
-        fp.write_u64(cfg.sort as u64);
-        fp.write_u64(u64::from(cfg.sort_and_reduce));
-        for (_, c) in &ids {
-            fp.write_u64(fnv1a(&c.serialize()));
+        let reducers: Vec<u32> = (0..ranks)
+            .filter(|&r| join_at[r as usize].is_none())
+            .collect();
+        if reducers.is_empty() {
+            return Err(EngineError::InvalidPipeline(
+                "fault plan defers every GPU with an add event; no rank can start the job".into(),
+            ));
         }
-        let rec = JournalRecord::JobStart {
-            fingerprint: fp.finish(),
-            n_chunks,
-            ranks,
-            reducers: reducers.len() as u32,
+
+        // Chunks carry their original index as a canonical id: requeues and
+        // steals change *which rank* processes a chunk, never its identity,
+        // so receivers can order inbound buckets identically across fault
+        // plans.
+        let n_chunks = chunks.len() as u64;
+        let ids: Vec<(u64, J::Chunk)> = chunks
+            .into_iter()
+            .enumerate()
+            .map(|(i, c)| (i as u64, c))
+            .collect();
+        let setup =
+            SimTime::from_secs(tuning.setup_base_s + tuning.setup_per_rank_s * f64::from(ranks));
+        // Uploads are host-driven DMA enqueues: with a pipelined engine they
+        // start once the local context exists (base setup), overlapping the
+        // cluster-wide collective startup. Kernels still wait for full
+        // setup (`compute_ready`). Depth 1 keeps the legacy serialized
+        // start.
+        let upload_ready = if depth >= 2 {
+            SimTime::from_secs(tuning.setup_base_s)
+        } else {
+            setup
         };
-        jrecord(&mut jctx, &tel, 0, SimTime::ZERO, rec)?;
-    }
-    let mut queues = WorkQueues::distribute_on(ids, ranks, &reducers);
-    let setup =
-        SimTime::from_secs(tuning.setup_base_s + tuning.setup_per_rank_s * f64::from(ranks));
-    // Uploads are host-driven DMA enqueues: with a pipelined engine they
-    // start once the local context exists (base setup), overlapping the
-    // cluster-wide collective startup. Kernels still wait for full setup
-    // (`compute_ready`). Depth 1 keeps the legacy serialized start.
-    let upload_ready = if depth >= 2 {
-        SimTime::from_secs(tuning.setup_base_s)
-    } else {
-        setup
-    };
-    let mut st: Vec<RankState<J::Key, J::Value, J::Chunk>> = (0..ranks)
-        .map(|r| match join_at[r as usize] {
-            // Initial ranks pay the cluster-wide collective setup.
-            None => RankState {
-                cursor: upload_ready,
-                compute_ready: setup,
-                setup_end: setup,
-                ..RankState::default()
-            },
-            // Elastic adds pay only their local context creation, starting
-            // at the join instant; the collective already happened.
-            Some(join) => RankState {
-                cursor: join,
-                compute_ready: join + SimDuration::from_secs(tuning.setup_base_s),
-                setup_end: join + SimDuration::from_secs(tuning.setup_base_s),
-                joined: false,
-                ..RankState::default()
-            },
-        })
-        .collect();
-    for &r in &reducers {
-        tel.event(r, TraceKind::Setup, SimTime::ZERO, setup, || {
-            "job setup".into()
-        });
-    }
-    let mut mailbox: Mailbox<ShuffleMsg<J::Key, J::Value>> = Mailbox::new(ranks);
-    // Chunk ids that moved off their home rank (steals, fault-plan
-    // requeues): under `RunControl::inputs_resident` these still pay the
-    // full upload — residency only holds where the chunk was born.
-    let mut displaced: std::collections::HashSet<u64> = std::collections::HashSet::new();
-
-    // --- Map stage -------------------------------------------------------
-    if cfg.map_mode == MapMode::Accumulate {
-        for &r in &reducers {
-            let gpu = cluster.gpu(r);
-            let (state, t) = job.accumulate_init(gpu, setup)?;
-            tel.event(r, TraceKind::AccumulateInit, setup, t, || {
-                "accumulate init".into()
-            });
-            let s = &mut st[r as usize];
-            s.accum = Some(state);
-            // Chunk uploads may overlap the init kernel; maps may not.
-            s.compute_ready = s.compute_ready.max(t);
+        let st = (0..ranks)
+            .map(|r| {
+                let base = RankState {
+                    kill_at: plan.as_ref().and_then(|p| p.kill_time(r)),
+                    stalls: plan
+                        .as_ref()
+                        .map_or_else(Vec::new, |p| p.stalls_for(r))
+                        .into(),
+                    ..RankState::default()
+                };
+                match join_at[r as usize] {
+                    // Initial ranks pay the cluster-wide collective setup.
+                    None => RankState {
+                        cursor: upload_ready,
+                        compute_ready: setup,
+                        setup_end: setup,
+                        ..base
+                    },
+                    // Elastic adds pay only their local context creation,
+                    // starting at the join instant; the collective already
+                    // happened.
+                    Some(join) => RankState {
+                        cursor: join,
+                        compute_ready: join + SimDuration::from_secs(tuning.setup_base_s),
+                        setup_end: join + SimDuration::from_secs(tuning.setup_base_s),
+                        pending_join: Some(join),
+                        ..base
+                    },
+                }
+            })
+            .collect();
+        let start_rec = journal
+            .is_some()
+            .then(|| job_start(&cfg, ranks, &reducers, depth, gpu_direct, &ids));
+        let queues = WorkQueues::distribute_on(ids, ranks, &reducers);
+        let mut engine = Engine {
+            cluster,
+            job,
+            cfg,
+            tuning,
+            control: opts.control,
+            tel,
+            journal,
+            ranks,
+            gpu_direct,
+            depth,
+            staging_slots,
+            n_chunks,
+            setup,
+            reducers,
+            st,
+            queues,
+            mailbox: Mailbox::new(ranks),
+            displaced: HashSet::new(),
+        };
+        if let Some(rec) = start_rec {
+            engine.jrecord(0, SimTime::ZERO, rec)?;
         }
+        Ok(engine)
     }
 
-    // Drive the earliest-ready active rank until none remain.
-    while let Some(r) = (0..ranks)
-        .filter(|&r| st[r as usize].active)
-        .min_by(|&a, &b| {
-            st[a as usize]
-                .cursor
-                .partial_cmp(&st[b as usize].cursor)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        })
-    {
-        let ri = r as usize;
+    /// Record job setup on the initial ranks and, in accumulate mode,
+    /// initialize their accumulators.
+    fn start(&mut self) -> EngineResult<()> {
+        for &r in &self.reducers {
+            self.tel
+                .event(r, "Setup", SimTime::ZERO, self.setup, || "job setup".into());
+        }
+        if self.cfg.map_mode == MapMode::Accumulate {
+            for r in self.reducers.clone() {
+                self.accumulate_init(r, self.setup)?;
+            }
+        }
+        Ok(())
+    }
 
+    /// Seed rank `r`'s GPU-resident accumulator from `t0`. Chunk uploads
+    /// may overlap the init kernel; maps may not.
+    fn accumulate_init(&mut self, r: u32, t0: SimTime) -> EngineResult<()> {
+        let (state, t) = self.job.accumulate_init(self.cluster.gpu(r), t0)?;
+        self.tel
+            .event(r, "AccumulateInit", t0, t, || "accumulate init".into());
+        let s = &mut self.st[r as usize];
+        s.accum = Some(state);
+        s.compute_ready = s.compute_ready.max(t);
+        Ok(())
+    }
+
+    /// The earliest-ready active rank, lowest index on ties.
+    fn next_rank(&self) -> Option<u32> {
+        (0..self.ranks)
+            .filter(|&r| self.st[r as usize].active)
+            .min_by(|&a, &b| {
+                self.st[a as usize]
+                    .cursor
+                    .partial_cmp(&self.st[b as usize].cursor)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.cmp(&b))
+            })
+    }
+
+    /// One scheduler pick of rank `r`: honour a stop, apply due stalls, a
+    /// due kill and a pending join, then take a chunk from the rank's own
+    /// queue or steal one. `None` means the pick dispatched nothing (the
+    /// rank retired or was killed).
+    fn dispatch(&mut self, r: u32) -> EngineResult<Option<(u64, J::Chunk)>> {
+        let ri = r as usize;
         // Caller-requested stop: a rank whose clock has reached the stop
         // instant dequeues no more work. Its in-flight chunks already
         // committed (dispatch is synchronous per chunk), so stopping here
         // is a clean chunk boundary; the leftover queue is drained and
-        // accounted for after the loop.
-        if control.stop_at.is_some_and(|stop| st[ri].cursor >= stop) {
-            st[ri].active = false;
-            continue;
+        // accounted for by `Engine::cancel`.
+        if self
+            .control
+            .stop_at
+            .is_some_and(|stop| self.st[ri].cursor >= stop)
+        {
+            self.st[ri].active = false;
+            return Ok(None);
         }
 
         // Straggler injection: a stall due at or before this dispatch
         // freezes the rank before it takes more work.
-        while st[ri].stall_idx < stalls[ri].len() && stalls[ri][st[ri].stall_idx].0 <= st[ri].cursor
-        {
-            let (_, dur) = stalls[ri][st[ri].stall_idx];
-            st[ri].stall_idx += 1;
-            let begin = st[ri].cursor;
-            st[ri].cursor += dur;
-            tel.stalls.inc();
-            tel.event(r, TraceKind::Stall, begin, st[ri].cursor, || {
+        while let Some(&(at, dur)) = self.st[ri].stalls.front() {
+            if at > self.st[ri].cursor {
+                break;
+            }
+            self.st[ri].stalls.pop_front();
+            let begin = self.st[ri].cursor;
+            self.st[ri].cursor += dur;
+            self.tel.stalls.inc();
+            self.tel.event(r, "Stall", begin, self.st[ri].cursor, || {
                 format!("injected stall ({dur})")
             });
         }
 
         // Fail-stop check at dispatch: a GPU whose kill instant has passed
         // takes no more work, and everything it held migrates away.
-        if kill_at[ri].is_some_and(|k| k <= st[ri].cursor) {
-            kill_rank(
-                r,
-                st[ri].cursor,
-                None,
-                &mut queues,
-                &mut st,
-                cluster,
-                tuning,
-                &tel,
-                &mut jctx,
-                &mut displaced,
-            )?;
-            continue;
+        if self.st[ri].kill_at.is_some_and(|k| k <= self.st[ri].cursor) {
+            self.kill_rank(r, self.st[ri].cursor, None)?;
+            return Ok(None);
         }
 
         // Elastic add: a rank scheduled to join mid-job runs its local
         // setup at its first scheduler pick. It owns no queued work (the
         // initial distribution skipped it) and is not a reducer, so it
         // contributes by stealing map work from loaded survivors.
-        if !st[ri].joined {
-            st[ri].joined = true;
-            let join = join_at[ri].expect("unjoined ranks have an add event");
-            tel.gpus_added.inc();
-            tel.event(r, TraceKind::GpuAdded, join, join, || {
+        if let Some(join) = self.st[ri].pending_join.take() {
+            self.tel.gpus_added.inc();
+            self.tel.event(r, "GpuAdded", join, join, || {
                 "GPU joined the job mid-run".into()
             });
-            tel.event(r, TraceKind::Setup, join, st[ri].compute_ready, || {
-                "late-join setup".into()
-            });
-            jrecord(
-                &mut jctx,
-                &tel,
-                r,
-                join,
-                JournalRecord::GpuAdded { rank: r },
-            )?;
-            if cfg.map_mode == MapMode::Accumulate {
-                let t0 = st[ri].compute_ready;
-                let gpu = cluster.gpu(r);
-                let (state, t) = job.accumulate_init(gpu, t0)?;
-                tel.event(r, TraceKind::AccumulateInit, t0, t, || {
-                    "accumulate init".into()
+            self.tel
+                .event(r, "Setup", join, self.st[ri].compute_ready, || {
+                    "late-join setup".into()
                 });
-                st[ri].accum = Some(state);
-                st[ri].compute_ready = st[ri].compute_ready.max(t);
+            self.jrecord(r, join, JournalRecord::GpuAdded { rank: r })?;
+            if self.cfg.map_mode == MapMode::Accumulate {
+                self.accumulate_init(r, self.st[ri].compute_ready)?;
             }
         }
 
         // Obtain a chunk: own queue, else steal, else retire.
-        let (chunk_id, chunk) = match queues.pop_local(r) {
-            Some(c) => c,
-            None if !tuning.allow_stealing => {
-                st[ri].active = false;
-                continue;
-            }
-            // Work-aware stealing: take the heaviest chunk from the rank
-            // with the most queued bytes, but only while the steal pays
-            // for itself (see `WorkQueues::steal_profitable`) — late
-            // steals queue their migration behind the victim's outbound
-            // shuffle traffic and arrive after the victim would have
-            // processed the chunk locally.
-            None => match queues.steal_profitable(r, |c| c.1.size_bytes()) {
-                Some((victim, c)) => {
-                    tel.stolen.inc();
-                    displaced.insert(c.0);
-                    // Migration: serialized chunk crosses the fabric from the
-                    // victim's host memory to the thief's.
-                    let bytes = c.1.serialize().len() as u64;
-                    let before = st[ri].cursor;
-                    let arrival = transfer_with_retry(
-                        cluster.fabric(),
-                        victim,
-                        r,
-                        before,
-                        bytes,
-                        tuning,
-                        &tel,
-                    )?;
-                    tel.event(r, TraceKind::Steal, before, arrival, || {
-                        format!("stole chunk from rank {victim}")
-                    });
-                    st[ri].cursor = arrival;
-                    jrecord(
-                        &mut jctx,
-                        &tel,
-                        r,
-                        arrival,
-                        JournalRecord::Steal {
-                            chunk_id: c.0,
-                            victim,
-                            thief: r,
-                        },
-                    )?;
-                    c
-                }
-                None => {
-                    st[ri].active = false;
-                    continue;
-                }
-            },
+        let local = self.queues.pop_local(r);
+        let taken = match local {
+            Some(c) => Some(c),
+            None if self.tuning.allow_stealing => self.steal(r)?,
+            None => None,
         };
-
-        st[ri].cursor += SimDuration::from_secs(tuning.sched_overhead_s);
-        let cursor = st[ri].cursor;
-        jrecord(
-            &mut jctx,
-            &tel,
+        let Some((chunk_id, chunk)) = taken else {
+            self.st[ri].active = false;
+            return Ok(None);
+        };
+        self.st[ri].cursor += SimDuration::from_secs(self.tuning.sched_overhead_s);
+        let cursor = self.st[ri].cursor;
+        self.jrecord(
             r,
             cursor,
             JournalRecord::ChunkDispatch { chunk_id, rank: r },
         )?;
-        let compute_ready = st[ri].compute_ready;
+        Ok(Some((chunk_id, chunk)))
+    }
+
+    /// Work-aware stealing: take the heaviest chunk from the rank with the
+    /// most queued bytes, but only while the steal pays for itself (see
+    /// `WorkQueues::steal_profitable`) — late steals queue their migration
+    /// behind the victim's outbound shuffle traffic and arrive after the
+    /// victim would have processed the chunk locally.
+    fn steal(&mut self, r: u32) -> EngineResult<Option<(u64, J::Chunk)>> {
+        let Some((victim, c)) = self.queues.steal_profitable(r, |c| c.1.size_bytes()) else {
+            return Ok(None);
+        };
+        let ri = r as usize;
+        self.tel.stolen.inc();
+        self.displaced.insert(c.0);
+        // Migration: serialized chunk crosses the fabric from the victim's
+        // host memory to the thief's.
+        let bytes = c.1.serialize().len() as u64;
+        let before = self.st[ri].cursor;
+        let arrival = self.transfer(victim, r, before, bytes)?;
+        self.tel.event(r, "Steal", before, arrival, || {
+            format!("stole chunk from rank {victim}")
+        });
+        self.st[ri].cursor = arrival;
+        let rec = JournalRecord::Steal {
+            chunk_id: c.0,
+            victim,
+            thief: r,
+        };
+        self.jrecord(r, arrival, rec)?;
+        Ok(Some(c))
+    }
+
+    /// Upload a dispatched chunk and run its map kernels; per-chunk binning
+    /// follows immediately unless the pipeline defers it.
+    fn map_chunk(&mut self, r: u32, chunk_id: u64, chunk: J::Chunk) -> EngineResult<()> {
+        let ri = r as usize;
+        let cursor = self.st[ri].cursor;
+        let compute_ready = self.st[ri].compute_ready;
         // k-deep upload pipeline: the upload may only start once a staging
         // slot frees — i.e. when the map of the chunk `depth` dispatches
         // back has finished. Until then uploads queue on the copy engine
         // while earlier chunks map.
         let mut gate = SimTime::ZERO;
-        while st[ri].inflight.len() >= depth {
-            gate = gate.max(st[ri].inflight.pop_front().expect("len checked"));
+        while self.st[ri].inflight.len() >= self.depth {
+            gate = gate.max(self.st[ri].inflight.pop_front().expect("len checked"));
         }
-        tel.dispatch(r, cursor, queues.remaining(r));
+        self.tel.dispatched.inc();
+        let depth = self.queues.remaining(r) as f64;
+        self.tel
+            .tel
+            .sample(r, "queue_depth", cursor.as_secs(), depth);
         // Container span grouping this chunk's stage spans; its id is
         // reserved now so children can link to it, and the span itself is
         // written once the chunk's window is known.
-        let chunk_span = tel.tel.reserve_span_id();
+        let span = self.tel.tel.reserve_span_id();
 
-        let gpu = cluster.gpu(r);
+        let gpu = self.cluster.gpu(r);
         // Round chaining: a chunk the driver left resident on this device
         // skips its upload entirely — the window collapses to the gated
         // dispatch instant. Displaced chunks (steals, requeues) moved
         // hosts, so they pay the full transfer like any cold chunk.
-        let up = if control.inputs_resident && !displaced.contains(&chunk_id) {
+        let up = if self.control.inputs_resident && !self.displaced.contains(&chunk_id) {
             let at = cursor.max(gate);
             gpmr_sim_gpu::Reservation { start: at, end: at }
         } else {
             gpu.h2d_gated(cursor, gate, chunk.size_bytes())
         };
-        gpu.note_resident(staging_slots * chunk.size_bytes());
-        tel.child_event(r, TraceKind::Upload, up.start, up.end, chunk_span, || {
-            format!("{} bytes", chunk.size_bytes())
-        });
+        gpu.note_resident(self.staging_slots * chunk.size_bytes());
+        self.tel
+            .child_event(r, "Upload", up.start, up.end, span, || {
+                format!("{} bytes", chunk.size_bytes())
+            });
+        let map_start = up.end.max(compute_ready);
 
-        match cfg.map_mode {
+        let t = match self.cfg.map_mode {
             MapMode::Accumulate => {
-                let mut state = st[ri].accum.take().expect("accumulate state initialized");
-                let t = job.map_accumulate(gpu, up.end.max(compute_ready), &chunk, &mut state)?;
-                if kill_at[ri].is_some_and(|k| k <= t) {
+                let mut state = self.st[ri]
+                    .accum
+                    .take()
+                    .expect("accumulate state initialized");
+                let t =
+                    self.job
+                        .map_accumulate(self.cluster.gpu(r), map_start, &chunk, &mut state)?;
+                if self.st[ri].kill_at.is_some_and(|k| k <= t) {
                     // The device died before this map finished. The whole
                     // accumulate state dies with it, so every chunk it
                     // covered — plus this one — reruns on survivors.
                     drop(state);
-                    kill_rank(
-                        r,
-                        t,
-                        Some((chunk_id, chunk)),
-                        &mut queues,
-                        &mut st,
-                        cluster,
-                        tuning,
-                        &tel,
-                        &mut jctx,
-                        &mut displaced,
-                    )?;
-                    continue;
+                    return self.kill_rank(r, t, Some((chunk_id, chunk)));
                 }
-                tel.child_event(
-                    r,
-                    TraceKind::Map,
-                    up.end.max(compute_ready),
-                    t,
-                    chunk_span,
-                    || "map+accumulate".into(),
-                );
-                tel.chunk_span(r, chunk_span, chunk_id, up.start, t);
+                self.tel
+                    .child_event(r, "Map", map_start, t, span, || "map+accumulate".into());
+                self.tel.chunk_span(r, span, chunk_id, up.start, t);
                 // Accumulate folds emissions into device state, so the
                 // commit hashes the chunk itself: replay re-folds it.
-                if jctx.is_some() {
-                    let hash = fnv1a(&chunk.serialize());
-                    jrecord(
-                        &mut jctx,
-                        &tel,
-                        r,
-                        t,
-                        JournalRecord::ChunkCommit {
-                            chunk_id,
-                            rank: r,
-                            pairs: chunk.item_count() as u64,
-                            hash,
-                        },
-                    )?;
+                if self.journal.is_some() {
+                    let rec = JournalRecord::ChunkCommit {
+                        chunk_id,
+                        rank: r,
+                        pairs: chunk.item_count() as u64,
+                        hash: fnv1a(&chunk.serialize()),
+                    };
+                    self.jrecord(r, t, rec)?;
                 }
-                gpu.note_resident(staging_slots * chunk.size_bytes() + state.size_bytes());
-                let s = &mut st[ri];
-                s.accum = Some(state);
-                s.last_map_end = s.last_map_end.max(t);
-                // The host is free to dispatch again once this upload has
-                // left the queue; the staging gate and the compute timeline
-                // keep the device honest.
-                s.cursor = up.start;
-                s.inflight.push_back(t);
-                s.chunks_done += 1;
-                if kill_at[ri].is_some() {
-                    s.processed.push((chunk_id, chunk));
+                let resident = self.staging_slots * chunk.size_bytes() + state.size_bytes();
+                self.cluster.gpu(r).note_resident(resident);
+                self.st[ri].accum = Some(state);
+                if self.st[ri].kill_at.is_some() {
+                    self.st[ri].processed.push((chunk_id, chunk));
                 }
+                t
             }
             MapMode::Plain | MapMode::PartialReduce => {
-                let (mut pairs, mut t) = job.map(gpu, up.end.max(compute_ready), &chunk)?;
-                let map_end = t;
-                let map_pairs = pairs.len();
-                let mut partial = None;
-                if cfg.map_mode == MapMode::PartialReduce {
-                    let (p, tp) = job.partial_reduce(gpu, t, pairs)?;
-                    partial = Some((t, tp, p.len()));
-                    pairs = p;
-                    t = tp;
-                }
-                if kill_at[ri].is_some_and(|k| k <= t) {
-                    // Kernels never completed: nothing was emitted, and the
-                    // chunk reruns on a survivor.
-                    drop(pairs);
-                    kill_rank(
-                        r,
-                        t,
-                        Some((chunk_id, chunk)),
-                        &mut queues,
-                        &mut st,
-                        cluster,
-                        tuning,
-                        &tel,
-                        &mut jctx,
-                        &mut displaced,
-                    )?;
-                    continue;
-                }
-                let commit = jctx
-                    .as_ref()
-                    .map(|ctx| (ctx.hash_pairs)(&pairs.keys, &pairs.vals));
-                if let Some(hash) = commit {
-                    jrecord(
-                        &mut jctx,
-                        &tel,
-                        r,
-                        t,
-                        JournalRecord::ChunkCommit {
-                            chunk_id,
-                            rank: r,
-                            pairs: pairs.len() as u64,
-                            hash,
-                        },
-                    )?;
-                }
-                tel.child_event(
-                    r,
-                    TraceKind::Map,
-                    up.end.max(compute_ready),
-                    map_end,
-                    chunk_span,
-                    || format!("{map_pairs} pairs"),
-                );
-                if let Some((pr_start, pr_end, pr_pairs)) = partial {
-                    tel.child_event(
-                        r,
-                        TraceKind::PartialReduce,
-                        pr_start,
-                        pr_end,
-                        chunk_span,
-                        || format!("-> {pr_pairs} pairs"),
-                    );
-                }
-                tel.pairs_emitted.add(map_pairs as u64);
-                gpu.note_resident(chunk.size_bytes() + pairs.size_bytes());
-                if cfg.combine {
-                    // Pairs are stored in CPU memory until all maps finish.
-                    let down = gpu.d2h(t, pairs.size_bytes());
-                    tel.chunk_span(r, chunk_span, chunk_id, up.start, down.end);
-                    let s = &mut st[ri];
-                    s.store.append(pairs);
-                    s.last_d2h = s.last_d2h.max(down.end);
-                    s.last_map_end = s.last_map_end.max(t);
-                    s.cursor = up.start;
-                    s.inflight.push_back(t);
-                    s.chunks_done += 1;
-                } else {
-                    // Partition on the GPU, download, and bin immediately —
-                    // overlapped with the next chunk's upload and map.
-                    let t_part = charge_partition::<J::Key, J::Value>(gpu, t, pairs.len());
-                    // GPU-direct networking (the paper's future-work
-                    // hardware): pairs leave the GPU through the NIC
-                    // without the PCI-e round trip through host memory.
-                    let send_ready = if gpu_direct {
-                        t_part
-                    } else {
-                        let down = gpu.d2h(t_part, pairs.size_bytes());
-                        tel.child_event(
-                            r,
-                            TraceKind::Download,
-                            down.start,
-                            down.end,
-                            chunk_span,
-                            || format!("{} bytes", pairs.size_bytes()),
-                        );
-                        down.end
-                    };
-                    tel.child_event(r, TraceKind::Partition, t, t_part, chunk_span, || {
-                        String::new()
-                    });
-                    tel.pairs_shuffled.add(pairs.len() as u64);
-                    let buckets = route_pairs(job, &cfg.partition, pairs, &reducers, ranks);
-                    let mut bin_done = st[ri].bin_done;
-                    let mut chunk_end = send_ready;
-                    for (dest, bucket) in buckets.into_iter().enumerate() {
-                        if bucket.pairs.is_empty() {
-                            continue;
-                        }
-                        let bytes = bucket.pairs.size_bytes();
-                        let arrival = transfer_with_retry(
-                            cluster.fabric(),
-                            r,
-                            dest as u32,
-                            send_ready,
-                            bytes,
-                            tuning,
-                            &tel,
-                        )?;
-                        mailbox.deliver(dest as u32, r, chunk_id, arrival, bucket);
-                        tel.child_event(
-                            r,
-                            TraceKind::Send,
-                            send_ready,
-                            arrival,
-                            chunk_span,
-                            || format!("{bytes} bytes to rank {dest}"),
-                        );
-                        bin_done = bin_done.max(arrival);
-                        chunk_end = chunk_end.max(arrival);
-                    }
-                    tel.chunk_span(r, chunk_span, chunk_id, up.start, chunk_end);
-                    let s = &mut st[ri];
-                    s.bin_done = bin_done;
-                    s.last_map_end = s.last_map_end.max(t);
-                    s.cursor = up.start;
-                    s.inflight.push_back(t);
-                    s.chunks_done += 1;
+                match self.map_pairs(r, chunk_id, chunk, map_start, up.start, span)? {
+                    Some(t) => t,
+                    None => return Ok(()),
                 }
             }
+        };
+        // The host is free to dispatch again once this upload has left
+        // the queue; the staging gate and the compute timeline keep the
+        // device honest.
+        let s = &mut self.st[ri];
+        s.last_map_end = s.last_map_end.max(t);
+        s.cursor = up.start;
+        s.inflight.push_back(t);
+        s.chunks_done += 1;
+        Ok(())
+    }
+
+    /// Map (and partially reduce) one chunk into pairs, then either store
+    /// them on the host for the global Combine or bin them right away —
+    /// overlapped with the next chunk's upload and map. Returns the map
+    /// end, or `None` when the GPU died before the kernels completed.
+    fn map_pairs(
+        &mut self,
+        r: u32,
+        chunk_id: u64,
+        chunk: J::Chunk,
+        map_start: SimTime,
+        up_start: SimTime,
+        span: u64,
+    ) -> EngineResult<Option<SimTime>> {
+        let gpu = self.cluster.gpu(r);
+        let (mut pairs, mut t) = self.job.map(gpu, map_start, &chunk)?;
+        let map_end = t;
+        let map_pairs = pairs.len();
+        let mut partial = None;
+        if self.cfg.map_mode == MapMode::PartialReduce {
+            let (p, tp) = self.job.partial_reduce(gpu, t, pairs)?;
+            partial = Some((t, tp, p.len()));
+            pairs = p;
+            t = tp;
         }
+        if self.st[r as usize].kill_at.is_some_and(|k| k <= t) {
+            // Kernels never completed: nothing was emitted, and the chunk
+            // reruns on a survivor.
+            drop(pairs);
+            self.kill_rank(r, t, Some((chunk_id, chunk)))?;
+            return Ok(None);
+        }
+        if let Some(hash) = self.hash(&pairs.keys, &pairs.vals) {
+            let rec = JournalRecord::ChunkCommit {
+                chunk_id,
+                rank: r,
+                pairs: pairs.len() as u64,
+                hash,
+            };
+            self.jrecord(r, t, rec)?;
+        }
+        self.tel
+            .child_event(r, "Map", map_start, map_end, span, || {
+                format!("{map_pairs} pairs")
+            });
+        if let Some((pr_start, pr_end, pr_pairs)) = partial {
+            self.tel
+                .child_event(r, "PartialReduce", pr_start, pr_end, span, || {
+                    format!("-> {pr_pairs} pairs")
+                });
+        }
+        self.tel.pairs_emitted.add(map_pairs as u64);
+        let gpu = self.cluster.gpu(r);
+        gpu.note_resident(chunk.size_bytes() + pairs.size_bytes());
+        if self.cfg.combine {
+            // Pairs are stored in CPU memory until all maps finish.
+            let down = gpu.d2h(t, pairs.size_bytes());
+            self.tel.chunk_span(r, span, chunk_id, up_start, down.end);
+            let s = &mut self.st[r as usize];
+            s.store.append(pairs);
+            s.last_d2h = s.last_d2h.max(down.end);
+        } else {
+            let end = self.bin_and_send(r, r, pairs, t, chunk_id, Some(span))?;
+            self.tel.chunk_span(r, span, chunk_id, up_start, end);
+        }
+        Ok(Some(t))
     }
 
-    // --- Caller-requested stop ------------------------------------------
-    // Every rank halted at a chunk boundary at or after `stop_at`. Drain
-    // the leftover queues so no chunk stays parked in scheduler state, and
-    // account for the whole input: chunks committed by maps plus chunks
-    // released here cover every dispatched chunk (fault-plan kills may
-    // rerun chunks, which only raises the committed count). Device memory
-    // holds no engine allocations across chunks (working sets are modeled
-    // via `note_resident`), so dropping per-rank state releases everything.
-    if let Some(stop) = control.stop_at {
-        let chunks_committed: u32 = st.iter().map(|s| s.chunks_done).sum();
-        let chunks_released = queues.drain_all().len() as u32;
-        tel.event(0, TraceKind::Cancelled, stop, stop, || {
-            format!(
-                "run stopped: {chunks_committed} chunk(s) committed, {chunks_released} released"
-            )
-        });
-        cluster.flush_telemetry();
-        return Err(EngineError::Cancelled {
-            at_ns: (stop.as_secs() * 1e9).round() as u64,
-            chunks_committed,
-            chunks_released,
-        });
+    /// The Bin stage for one batch of pairs: partition on `exec`'s GPU from
+    /// `t`, download to the host (skipped with GPU-direct networking: the
+    /// pairs leave the GPU through the NIC), route every pair to its
+    /// reducer, and send each non-empty bucket from `src` under message id
+    /// `msg`. The streaming path passes its chunk span so the download and
+    /// partition are recorded under it; deferred bins record only their
+    /// sends. Returns the last arrival (at least the send-ready instant).
+    fn bin_and_send(
+        &mut self,
+        src: u32,
+        exec: u32,
+        pairs: KvSet<J::Key, J::Value>,
+        t: SimTime,
+        msg: u64,
+        chunk_span: Option<u64>,
+    ) -> EngineResult<SimTime> {
+        self.tel.pairs_shuffled.add(pairs.len() as u64);
+        let gpu = self.cluster.gpu(exec);
+        let t_part = charge_partition::<J::Key, J::Value>(gpu, t, pairs.len());
+        let send_ready = if self.gpu_direct {
+            t_part
+        } else {
+            let down = gpu.d2h(t_part, pairs.size_bytes());
+            if let Some(span) = chunk_span {
+                self.tel
+                    .child_event(src, "Download", down.start, down.end, span, || {
+                        format!("{} bytes", pairs.size_bytes())
+                    });
+            }
+            down.end
+        };
+        if let Some(span) = chunk_span {
+            self.tel
+                .child_event(src, "Partition", t, t_part, span, String::new);
+        }
+        let buckets = route_pairs(
+            self.job,
+            &self.cfg.partition,
+            pairs,
+            &self.reducers,
+            self.ranks,
+        );
+        let mut end = send_ready;
+        for (dest, bucket) in buckets.into_iter().enumerate() {
+            if bucket.pairs.is_empty() {
+                continue;
+            }
+            let bytes = bucket.pairs.size_bytes();
+            let arrival = self.transfer(src, dest as u32, send_ready, bytes)?;
+            self.mailbox.deliver(dest as u32, src, msg, arrival, bucket);
+            let parent = chunk_span.unwrap_or(0);
+            self.tel
+                .child_event(src, "Send", send_ready, arrival, parent, || {
+                    format!("{bytes} bytes to rank {dest}")
+                });
+            let s = &mut self.st[src as usize];
+            s.bin_done = s.bin_done.max(arrival);
+            end = end.max(arrival);
+        }
+        Ok(end)
     }
 
-    // --- Deferred binning (Accumulate / Combine) -------------------------
-    match cfg.map_mode {
-        MapMode::Accumulate => {
-            for r in 0..ranks {
-                let ri = r as usize;
-                if !st[ri].alive {
+    /// Deferred binning after the Map stage: each rank's accumulator
+    /// (Accumulate) or host-side store, combined on the GPU first
+    /// (Combine), goes through [`Engine::bin_and_send`] once.
+    fn deferred_bin(&mut self) -> EngineResult<()> {
+        let accumulate = self.cfg.map_mode == MapMode::Accumulate;
+        if !accumulate && !self.cfg.combine {
+            return Ok(());
+        }
+        for r in 0..self.ranks {
+            let ri = r as usize;
+            let msg = self.n_chunks + u64::from(r);
+            if accumulate {
+                if !self.st[ri].alive {
                     // The accumulate state died with the device; its chunks
                     // were rerun on survivors, so there is nothing to ship.
                     continue;
                 }
-                let state = st[ri].accum.take().unwrap_or_default();
+                let state = self.st[ri].accum.take().unwrap_or_default();
                 // Accumulate-mode maps fold emissions into device state
                 // immediately, so the committed accumulator entries are the
                 // map output: count them as emitted here, where the state
                 // is committed for binning (keeps `pairs_emitted >=
                 // pairs_shuffled` in every map mode, and counts nothing for
                 // state that died with its GPU and was rerun elsewhere).
-                tel.pairs_emitted.add(state.len() as u64);
-                tel.pairs_shuffled.add(state.len() as u64);
-                let gpu = cluster.gpu(r);
-                let t_part =
-                    charge_partition::<J::Key, J::Value>(gpu, st[ri].last_map_end, state.len());
-                let send_ready = if gpu_direct {
-                    t_part
-                } else {
-                    gpu.d2h(t_part, state.size_bytes()).end
-                };
-                let buckets = route_pairs(job, &cfg.partition, state, &reducers, ranks);
-                let mut bin_done = st[ri].bin_done;
-                for (dest, bucket) in buckets.into_iter().enumerate() {
-                    if bucket.pairs.is_empty() {
-                        continue;
-                    }
-                    let bytes = bucket.pairs.size_bytes();
-                    let arrival = transfer_with_retry(
-                        cluster.fabric(),
-                        r,
-                        dest as u32,
-                        send_ready,
-                        bytes,
-                        tuning,
-                        &tel,
-                    )?;
-                    mailbox.deliver(dest as u32, r, n_chunks + u64::from(r), arrival, bucket);
-                    tel.event(r, TraceKind::Send, send_ready, arrival, || {
-                        format!("{bytes} bytes to rank {dest}")
-                    });
-                    bin_done = bin_done.max(arrival);
-                }
-                st[ri].bin_done = bin_done;
+                self.tel.pairs_emitted.add(state.len() as u64);
+                let t = self.st[ri].last_map_end;
+                self.bin_and_send(r, r, state, t, msg, None)?;
+                continue;
             }
+            let store = std::mem::take(&mut self.st[ri].store);
+            if store.is_empty() {
+                continue;
+            }
+            // The store lives in host memory, so it survives a GPU loss; a
+            // lost rank's combine runs on a surviving GPU.
+            let (exec, note) = self.exec_rank(r);
+            let t0 = self.st[ri].last_map_end.max(self.st[ri].last_d2h);
+            let job = self.job;
+            let gpu = self.cluster.gpu(exec);
+            // Stream stored pairs back down to the GPU for combination.
+            let up = gpu.h2d(t0, store.size_bytes());
+            let (combined, t1) = combine_pairs(gpu, up.end, store, |a, b| job.combine_op(a, b))?;
+            self.tel.event(r, "Combine", up.start, t1, || {
+                format!("-> {} pairs{note}", combined.len())
+            });
+            self.bin_and_send(r, exec, combined, t1, msg, None)?;
         }
-        MapMode::Plain | MapMode::PartialReduce if cfg.combine => {
-            for r in 0..ranks {
-                let ri = r as usize;
-                let store = std::mem::take(&mut st[ri].store);
-                if store.is_empty() {
-                    continue;
-                }
-                // The store lives in host memory, so it survives a GPU
-                // loss; a lost rank's combine runs on a surviving GPU.
-                let exec = if st[ri].alive {
-                    r
-                } else {
-                    takeover(r, &st).expect("kill_rank guarantees a survivor")
-                };
-                let t0 = st[ri].last_map_end.max(st[ri].last_d2h);
-                let gpu = cluster.gpu(exec);
-                // Stream stored pairs back down to the GPU for combination.
-                let up = gpu.h2d(t0, store.size_bytes());
-                let (combined, t1) =
-                    combine_pairs(gpu, up.end, store, |a, b| job.combine_op(a, b))?;
-                tel.event(r, TraceKind::Combine, up.start, t1, || {
-                    let note = if exec == r {
-                        String::new()
-                    } else {
-                        format!(" (on rank {exec})")
-                    };
-                    format!("-> {} pairs{note}", combined.len())
+        Ok(())
+    }
+
+    /// The rank that does `r`'s remaining pipeline work — `r` itself while
+    /// its GPU lives, else the next live rank cyclically past it — and the
+    /// `" (on rank N)"` note a takeover adds to span details.
+    fn exec_rank(&self, r: u32) -> (u32, String) {
+        if self.st[r as usize].alive {
+            return (r, String::new());
+        }
+        let exec = (1..self.ranks)
+            .map(|i| (r + i) % self.ranks)
+            .find(|&x| self.st[x as usize].alive)
+            .expect("kill_rank guarantees a survivor");
+        (exec, format!(" (on rank {exec})"))
+    }
+
+    /// Drain all inbound pairs. Sort-readiness must be known for every rank
+    /// before lost GPUs are assigned takeover ranks. Deliveries are consumed
+    /// in canonical (chunk-id, sender) order, so the concatenated set is
+    /// identical no matter how faults, retries, or stalls reshuffled
+    /// arrival times. A rank whose GPU died after its map work completed is
+    /// discovered here: its sort and reduce run on the next surviving rank,
+    /// with the output still stored in the lost rank's slot.
+    fn gather_inbound(&mut self) -> EngineResult<Vec<Inbound<J::Key, J::Value>>> {
+        let mut inbound = Vec::with_capacity(self.ranks as usize);
+        for r in 0..self.ranks {
+            let deliveries = self.mailbox.drain_canonical(r);
+            let mut incoming: KvSet<J::Key, J::Value> =
+                KvSet::with_capacity(deliveries.iter().map(|d| d.payload.pairs.len()).sum());
+            let mut last_arrival = SimTime::ZERO;
+            let mut parts = Vec::with_capacity(deliveries.len());
+            let mut max_radix = 0u64;
+            for d in deliveries {
+                last_arrival = last_arrival.max(d.arrival);
+                max_radix = max_radix.max(d.payload.max_radix);
+                parts.push((d.arrival, d.payload.pairs.size_bytes()));
+                incoming.append(d.payload.pairs);
+            }
+            let s = &mut self.st[r as usize];
+            s.sort_ready = s.last_map_end.max(s.bin_done).max(last_arrival);
+            inbound.push(Inbound {
+                pairs: incoming,
+                parts,
+                max_radix,
+            });
+        }
+
+        let mut last_sort_loss = None;
+        for r in 0..self.ranks {
+            let ri = r as usize;
+            let sort_ready = self.st[ri].sort_ready;
+            if self.st[ri].alive && self.st[ri].kill_at.is_some_and(|k| k <= sort_ready) {
+                self.st[ri].alive = false;
+                self.tel.gpus_lost.inc();
+                last_sort_loss = Some(r);
+                self.tel.event(r, "GpuLost", sort_ready, sort_ready, || {
+                    "GPU lost before sort".to_string()
                 });
-                tel.pairs_shuffled.add(combined.len() as u64);
-                let t_part = charge_partition::<J::Key, J::Value>(gpu, t1, combined.len());
-                let send_ready = if gpu_direct {
-                    t_part
-                } else {
-                    gpu.d2h(t_part, combined.size_bytes()).end
-                };
-                let buckets = route_pairs(job, &cfg.partition, combined, &reducers, ranks);
-                let mut bin_done = st[ri].bin_done;
-                for (dest, bucket) in buckets.into_iter().enumerate() {
-                    if bucket.pairs.is_empty() {
-                        continue;
-                    }
-                    let bytes = bucket.pairs.size_bytes();
-                    let arrival = transfer_with_retry(
-                        cluster.fabric(),
-                        r,
-                        dest as u32,
-                        send_ready,
-                        bytes,
-                        tuning,
-                        &tel,
-                    )?;
-                    mailbox.deliver(dest as u32, r, n_chunks + u64::from(r), arrival, bucket);
-                    tel.event(r, TraceKind::Send, send_ready, arrival, || {
-                        format!("{bytes} bytes to rank {dest}")
-                    });
-                    bin_done = bin_done.max(arrival);
-                }
-                st[ri].bin_done = bin_done;
+                self.jrecord(r, sort_ready, JournalRecord::GpuLost { rank: r })?;
             }
         }
-        _ => {}
-    }
-
-    // --- Sort + Reduce stages --------------------------------------------
-    // Drain all inbound pairs first: sort-readiness must be known for
-    // every rank before lost GPUs are assigned takeover ranks. Deliveries
-    // are consumed in canonical (chunk-id, sender) order, so the
-    // concatenated set is identical no matter how faults, retries, or
-    // stalls reshuffled arrival times.
-    let mut inbound: Vec<Inbound<J::Key, J::Value>> = Vec::with_capacity(ranks as usize);
-    for r in 0..ranks {
-        let ri = r as usize;
-        let deliveries = mailbox.drain_canonical(r);
-        let mut incoming: KvSet<J::Key, J::Value> =
-            KvSet::with_capacity(deliveries.iter().map(|d| d.payload.pairs.len()).sum());
-        let mut last_arrival = SimTime::ZERO;
-        let mut parts = Vec::with_capacity(deliveries.len());
-        let mut max_radix = 0u64;
-        for d in deliveries {
-            last_arrival = last_arrival.max(d.arrival);
-            max_radix = max_radix.max(d.payload.max_radix);
-            parts.push((d.arrival, d.payload.pairs.size_bytes()));
-            incoming.append(d.payload.pairs);
+        if self.st.iter().all(|s| !s.alive) {
+            return Err(EngineError::GpuLost {
+                rank: last_sort_loss.unwrap_or(0),
+            });
         }
-        st[ri].sort_ready = st[ri].last_map_end.max(st[ri].bin_done).max(last_arrival);
-        inbound.push(Inbound {
-            pairs: incoming,
-            parts,
-            max_radix,
-        });
+        Ok(inbound)
     }
 
-    // A rank whose GPU died after its map work completed is discovered
-    // here: its sort and reduce run on the next surviving rank, with the
-    // output still stored in the lost rank's slot.
-    let mut last_sort_loss = None;
-    for r in 0..ranks {
-        let ri = r as usize;
-        if st[ri].alive && kill_at[ri].is_some_and(|k| k <= st[ri].sort_ready) {
-            st[ri].alive = false;
-            tel.gpus_lost.inc();
-            last_sort_loss = Some(r);
-            tel.event(
-                r,
-                TraceKind::GpuLost,
-                st[ri].sort_ready,
-                st[ri].sort_ready,
-                || "GPU lost before sort".to_string(),
-            );
-            jrecord(
-                &mut jctx,
-                &tel,
-                r,
-                st[ri].sort_ready,
-                JournalRecord::GpuLost { rank: r },
-            )?;
+    /// A rank that bypasses sort and reduce (or received nothing) outputs
+    /// its inbound pairs as they are.
+    fn pass_through(
+        &mut self,
+        r: u32,
+        incoming: KvSet<J::Key, J::Value>,
+    ) -> EngineResult<KvSet<J::Key, J::Value>> {
+        let s = &mut self.st[r as usize];
+        s.sort_done = s.sort_ready;
+        s.reduce_done = s.sort_ready;
+        let at = s.sort_ready;
+        if let Some(hash) = self.hash(&incoming.keys, &incoming.vals) {
+            let rec = JournalRecord::BinReduced {
+                rank: r,
+                pairs: incoming.len() as u64,
+                hash,
+            };
+            self.jrecord(r, at, rec)?;
         }
-    }
-    if st.iter().all(|s| !s.alive) {
-        return Err(EngineError::GpuLost {
-            rank: last_sort_loss.unwrap_or(0),
-        });
+        Ok(incoming)
     }
 
-    let mut outputs: Vec<KvSet<J::Key, J::Value>> = Vec::with_capacity(ranks as usize);
-    for (r, inb) in (0..ranks).zip(inbound) {
+    /// The Sort stage for rank `r`'s inbound pairs: stream them up to the
+    /// executing GPU, spill out of core when they do not fit, then sort and
+    /// extract the unique-key segments.
+    fn sort_rank(
+        &mut self,
+        r: u32,
+        inb: Inbound<J::Key, J::Value>,
+    ) -> EngineResult<Sorted<J::Key, J::Value>> {
         let ri = r as usize;
-        let sort_ready = st[ri].sort_ready;
+        let sort_ready = self.st[ri].sort_ready;
         let incoming = inb.pairs;
-
-        if !cfg.sort_and_reduce || incoming.is_empty() {
-            st[ri].sort_done = sort_ready;
-            st[ri].reduce_done = sort_ready;
-            let hash = jctx
-                .as_ref()
-                .map(|ctx| (ctx.hash_pairs)(&incoming.keys, &incoming.vals));
-            if let Some(hash) = hash {
-                jrecord(
-                    &mut jctx,
-                    &tel,
-                    r,
-                    sort_ready,
-                    JournalRecord::BinReduced {
-                        rank: r,
-                        pairs: incoming.len() as u64,
-                        hash,
-                    },
-                )?;
-            }
-            outputs.push(incoming);
-            continue;
-        }
-
-        let exec = if st[ri].alive {
-            r
-        } else {
-            takeover(r, &st).expect("a live rank exists")
-        };
-        let exec_note = if exec == r {
-            String::new()
-        } else {
-            format!(" (on rank {exec})")
-        };
+        let (exec, exec_note) = self.exec_rank(r);
 
         // Sort input: stream inbound buckets up to the device as they
         // arrive, overlapping the upload with the map/bin tail instead of
@@ -1542,9 +1251,9 @@ fn run_job_impl<J: GpmrJob>(
         // hundreds of small deliveries cost a handful of transfers — not
         // one initiation latency each. Free with GPU-direct networking —
         // the pairs arrived in device memory.
-        let gpu = cluster.gpu(exec);
+        let gpu = self.cluster.gpu(exec);
         let mut device_ready = sort_ready;
-        if !gpu_direct {
+        if !self.gpu_direct {
             let mut parts = inb.parts;
             parts.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
             let mut first_start: Option<SimTime> = None;
@@ -1565,7 +1274,7 @@ fn run_job_impl<J: GpmrJob>(
             }
             device_ready = device_ready.max(last_end);
             if let Some(first) = first_start {
-                tel.event(r, TraceKind::Upload, first, last_end, || {
+                self.tel.event(r, "Upload", first, last_end, || {
                     format!(
                         "{} bytes of sort input in {transfers} transfers{exec_note}",
                         incoming.size_bytes(),
@@ -1599,14 +1308,13 @@ fn run_job_impl<J: GpmrJob>(
         // The partitioner already bounded every bucket's key range while
         // routing, so the sort starts on the right digit count without a
         // max-radix reduction pass.
-        let (skeys, svals, t1) = match cfg.sort {
-            SortMode::Radix => sort_pairs_with_bits_config(
+        let (keys, vals, t1) = match self.cfg.sort {
+            SortMode::Radix => sort_pairs_with_bits(
                 gpu,
                 sort_start,
                 &incoming.keys,
                 &incoming.vals,
                 bits_for_radix(inb.max_radix),
-                &sort_cfg,
             )?,
             SortMode::Bitonic => {
                 bitonic_sort_pairs_by(gpu, sort_start, &incoming.keys, &incoming.vals, |a, b| {
@@ -1614,43 +1322,52 @@ fn run_job_impl<J: GpmrJob>(
                 })?
             }
         };
-        let (segs, t2) = extract_segments(gpu, t1, &skeys)?;
-        tel.event(r, TraceKind::Sort, device_ready, t2, || {
+        let (segs, done) = extract_segments(gpu, t1, &keys)?;
+        self.tel.event(r, "Sort", device_ready, done, || {
             format!(
                 "{} pairs, {} unique keys{exec_note}",
-                skeys.len(),
+                keys.len(),
                 segs.len()
             )
         });
-        let sorted = jctx.as_ref().map(|ctx| (ctx.hash_pairs)(&skeys, &svals));
-        if let Some(hash) = sorted {
-            jrecord(
-                &mut jctx,
-                &tel,
-                r,
-                t2,
-                JournalRecord::BinSorted {
-                    rank: r,
-                    pairs: skeys.len() as u64,
-                    unique: segs.len() as u64,
-                    hash,
-                },
-            )?;
+        if let Some(hash) = self.hash(&keys, &vals) {
+            let rec = JournalRecord::BinSorted {
+                rank: r,
+                pairs: keys.len() as u64,
+                unique: segs.len() as u64,
+                hash,
+            };
+            self.jrecord(r, done, rec)?;
         }
-        st[ri].sort_done = t2;
+        self.st[ri].sort_done = done;
         // Stage accounting: Bin absorbs the wait for arrivals and the
         // streamed input upload; Sort is kernel time only.
-        st[ri].sort_ready = device_ready;
+        self.st[ri].sort_ready = device_ready;
+        Ok((vals, segs))
+    }
 
-        // Reduce: chunked by the job's callback. Typical reducers emit one
-        // pair per unique key, so size for that.
+    /// The Reduce stage over rank `r`'s sorted values, from the end of its
+    /// sort: chunked by the job's callback, then the output comes back to
+    /// the host.
+    fn reduce_rank(
+        &mut self,
+        r: u32,
+        vals: Vec<J::Value>,
+        segs: Segments<J::Key>,
+    ) -> EngineResult<KvSet<J::Key, J::Value>> {
+        let (exec, exec_note) = self.exec_rank(r);
+        let done = self.st[r as usize].sort_done;
+        let gpu = self.cluster.gpu(exec);
+        let capacity = gpu.mem.capacity();
+        // Typical reducers emit one pair per unique key, so size for that.
         let mut out: KvSet<J::Key, J::Value> = KvSet::with_capacity(segs.len());
-        let mut t = t2;
+        let mut t = done;
         let mut i = 0usize;
         let val_bytes = std::mem::size_of::<J::Value>().max(1);
         let reduce_budget = (capacity as usize / 4).max(val_bytes);
         while i < segs.len() {
-            let mut take = job
+            let mut take = self
+                .job
                 .reduce_sets_per_chunk(segs.len() - i)
                 .clamp(1, segs.len() - i);
             // Memory safety net: a reduce chunk's values must fit on the
@@ -1667,89 +1384,289 @@ fn run_job_impl<J: GpmrJob>(
                     .map(|o| o - segs.offsets[i])
                     .collect(),
             };
-            let vals = &svals[segs.offsets[i]..segs.offsets[i + take]];
-            let (part, tn) = job.reduce(gpu, t, &sub, vals)?;
+            let sub_vals = &vals[segs.offsets[i]..segs.offsets[i + take]];
+            let (part, tn) = self.job.reduce(gpu, t, &sub, sub_vals)?;
             out.append(part);
             t = tn;
             i += take;
         }
         let down = gpu.d2h(t, out.size_bytes());
-        tel.event(r, TraceKind::Reduce, t2, down.end, || {
+        self.tel.event(r, "Reduce", done, down.end, || {
             format!("{} output pairs{exec_note}", out.len())
         });
-        st[ri].reduce_done = down.end;
-        let reduced = jctx
-            .as_ref()
-            .map(|ctx| (ctx.hash_pairs)(&out.keys, &out.vals));
-        if let Some(hash) = reduced {
-            jrecord(
-                &mut jctx,
-                &tel,
-                r,
-                down.end,
-                JournalRecord::BinReduced {
-                    rank: r,
-                    pairs: out.len() as u64,
-                    hash,
-                },
-            )?;
+        self.st[r as usize].reduce_done = down.end;
+        if let Some(hash) = self.hash(&out.keys, &out.vals) {
+            let rec = JournalRecord::BinReduced {
+                rank: r,
+                pairs: out.len() as u64,
+                hash,
+            };
+            self.jrecord(r, down.end, rec)?;
         }
-        outputs.push(out);
+        Ok(out)
     }
 
-    // Job is done: publish each device's memory high-water mark to its
-    // `gpu.rank{r}.mem_peak_bytes` gauge (teardown flush).
-    cluster.flush_telemetry();
-
-    // --- Assemble timings -------------------------------------------------
-    let makespan = st
-        .iter()
-        .map(|s| s.reduce_done)
-        .fold(SimTime::ZERO, SimTime::max);
-    if let Some(ctx) = jctx.as_ref() {
-        // Job-end manifest: a fold of every rank's output hash plus the
-        // exact makespan bits. A resumed run that reaches this record with
-        // the same values is bit-identical to the uninterrupted run.
-        let mut h = Fnv64::new();
-        for o in &outputs {
-            h.write_u64((ctx.hash_pairs)(&o.keys, &o.vals));
+    /// Publish device memory peaks, journal the job-end manifest, and
+    /// assemble the timing breakdown.
+    fn finish(
+        mut self,
+        outputs: Vec<KvSet<J::Key, J::Value>>,
+    ) -> EngineResult<JobResult<J::Key, J::Value>> {
+        // Job is done: publish each device's memory high-water mark to its
+        // `gpu.rank{r}.mem_peak_bytes` gauge (teardown flush).
+        self.cluster.flush_telemetry();
+        let makespan = self
+            .st
+            .iter()
+            .map(|s| s.reduce_done)
+            .fold(SimTime::ZERO, SimTime::max);
+        if let Some(ctx) = self.journal.as_ref() {
+            // Job-end manifest: a fold of every rank's output hash plus the
+            // exact makespan bits. A resumed run that reaches this record
+            // with the same values is bit-identical to the uninterrupted
+            // run.
+            let mut h = Fnv64::new();
+            for o in &outputs {
+                h.write_u64((ctx.hook.hash_pairs)(&o.keys, &o.vals));
+            }
+            let rec = JournalRecord::JobEnd {
+                output_hash: h.finish(),
+                makespan_bits: makespan.since(SimTime::ZERO).as_secs().to_bits(),
+            };
+            self.jrecord(0, makespan, rec)?;
         }
-        let rec = JournalRecord::JobEnd {
-            output_hash: h.finish(),
-            makespan_bits: makespan.since(SimTime::ZERO).as_secs().to_bits(),
-        };
-        jrecord(&mut jctx, &tel, 0, makespan, rec)?;
-    }
-    let per_rank: Vec<StageTimes> = st
-        .iter()
-        .map(|s| StageTimes {
-            map: s.last_map_end.since(s.setup_end),
-            bin: s.sort_ready.since(s.last_map_end.max(s.setup_end)),
-            sort: s.sort_done.since(s.sort_ready),
-            reduce: s.reduce_done.since(s.sort_done),
-            // Job setup plus the end-of-job barrier wait. An elastic add's
-            // setup ends at its join instant plus local setup, so its idle
-            // pre-join span lands here, not in Map.
-            scheduler: s.setup_end.since(SimTime::ZERO) + makespan.since(s.reduce_done),
+        let per_rank: Vec<StageTimes> = self
+            .st
+            .iter()
+            .map(|s| StageTimes {
+                map: s.last_map_end.since(s.setup_end),
+                bin: s.sort_ready.since(s.last_map_end.max(s.setup_end)),
+                sort: s.sort_done.since(s.sort_ready),
+                reduce: s.reduce_done.since(s.sort_done),
+                // Job setup plus the end-of-job barrier wait. An elastic
+                // add's setup ends at its join instant plus local setup, so
+                // its idle pre-join span lands here, not in Map.
+                scheduler: s.setup_end.since(SimTime::ZERO) + makespan.since(s.reduce_done),
+            })
+            .collect();
+        let tel = &self.tel;
+        Ok(JobResult {
+            outputs,
+            timings: JobTimings {
+                total: makespan.since(SimTime::ZERO),
+                per_rank,
+                chunks_per_rank: self.st.iter().map(|s| s.chunks_done).collect(),
+                chunks_stolen: tel.stolen.this_run() as u32,
+                pairs_emitted: tel.pairs_emitted.this_run(),
+                pairs_shuffled: tel.pairs_shuffled.this_run(),
+                gpus_lost: tel.gpus_lost.this_run() as u32,
+                gpus_added: tel.gpus_added.this_run() as u32,
+                chunks_requeued: tel.requeued.this_run() as u32,
+                transfer_retries: tel.retries.this_run() as u32,
+                stalls_injected: tel.stalls.this_run() as u32,
+            },
         })
-        .collect();
+    }
 
-    Ok(JobResult {
-        outputs,
-        timings: JobTimings {
-            total: makespan.since(SimTime::ZERO),
-            per_rank,
-            chunks_per_rank: st.iter().map(|s| s.chunks_done).collect(),
-            chunks_stolen: EngineTel::delta(&tel.stolen, tel.base[1]) as u32,
-            pairs_emitted: EngineTel::delta(&tel.pairs_emitted, tel.base[6]),
-            pairs_shuffled: EngineTel::delta(&tel.pairs_shuffled, tel.base[7]),
-            gpus_lost: EngineTel::delta(&tel.gpus_lost, tel.base[3]) as u32,
-            gpus_added: EngineTel::delta(&tel.gpus_added, tel.base[8]) as u32,
-            chunks_requeued: EngineTel::delta(&tel.requeued, tel.base[2]) as u32,
-            transfer_retries: EngineTel::delta(&tel.retries, tel.base[4]) as u32,
-            stalls_injected: EngineTel::delta(&tel.stalls, tel.base[5]) as u32,
-        },
-    })
+    /// Caller-requested stop: every rank halted at a chunk boundary at or
+    /// after `stop`. Drain the leftover queues so no chunk stays parked in
+    /// scheduler state, and account for the whole input: chunks committed
+    /// by maps plus chunks released here cover every dispatched chunk
+    /// (fault-plan kills may rerun chunks, which only raises the committed
+    /// count). Device memory holds no engine allocations across chunks
+    /// (working sets are modeled via `note_resident`), so dropping per-rank
+    /// state releases everything.
+    fn cancel(mut self, stop: SimTime) -> EngineError {
+        let chunks_committed: u32 = self.st.iter().map(|s| s.chunks_done).sum();
+        let chunks_released = self.queues.drain_all().len() as u32;
+        self.tel.event(0, "Cancelled", stop, stop, || {
+            format!(
+                "run stopped: {chunks_committed} chunk(s) committed, {chunks_released} released"
+            )
+        });
+        self.cluster.flush_telemetry();
+        EngineError::Cancelled {
+            at_ns: (stop.as_secs() * 1e9).round() as u64,
+            chunks_committed,
+            chunks_released,
+        }
+    }
+
+    /// Handle a fail-stop GPU loss on rank `r` detected at simulated
+    /// instant `now`: mark the rank dead, collect every chunk whose work
+    /// died with the device (the in-flight chunk, anything still queued,
+    /// and — in accumulate mode — chunks already folded into the lost
+    /// GPU-resident state), and migrate them to surviving ranks
+    /// round-robin, charging the fabric for each move. Errors with
+    /// [`EngineError::GpuLost`] when no rank survives.
+    fn kill_rank(
+        &mut self,
+        r: u32,
+        now: SimTime,
+        in_flight: Option<(u64, J::Chunk)>,
+    ) -> EngineResult<()> {
+        let ri = r as usize;
+        self.tel.gpus_lost.inc();
+        self.jrecord(r, now, JournalRecord::GpuLost { rank: r })?;
+        let s = &mut self.st[ri];
+        s.alive = false;
+        s.active = false;
+        s.accum = None;
+        let mut orphans: Vec<(u64, J::Chunk)> = std::mem::take(&mut s.processed);
+        orphans.extend(in_flight);
+        orphans.extend(self.queues.drain_rank(r));
+        // Canonical migration order, independent of how the orphans mixed.
+        orphans.sort_by_key(|&(id, _)| id);
+        self.tel.event(r, "GpuLost", now, now, || {
+            format!("GPU lost; {} chunks orphaned", orphans.len())
+        });
+        let live: Vec<u32> = (0..self.ranks)
+            .filter(|&x| self.st[x as usize].alive)
+            .collect();
+        if live.is_empty() {
+            return Err(EngineError::GpuLost { rank: r });
+        }
+        // Spread orphans over survivors, starting just past the victim. The
+        // chunk data sits in the victim's *host* memory (chunks are
+        // streamed from rank-local storage and Bin is a CPU stage), so the
+        // surviving host forwards it across the fabric even though its GPU
+        // is gone.
+        let first = live.iter().position(|&x| x > r).unwrap_or(0);
+        for (i, (id, chunk)) in orphans.into_iter().enumerate() {
+            let dest = live[(first + i) % live.len()];
+            // The chunk leaves its home rank: any device residency is gone.
+            self.displaced.insert(id);
+            let bytes = chunk.serialize().len() as u64;
+            let arrival = self.transfer(r, dest, now, bytes)?;
+            self.tel.event(r, "Requeue", now, arrival, || {
+                format!("chunk {id} -> rank {dest}")
+            });
+            let rec = JournalRecord::Requeue {
+                chunk_id: id,
+                from: r,
+                to: dest,
+            };
+            self.jrecord(r, arrival, rec)?;
+            self.queues.push_back(dest, (id, chunk));
+            let d = &mut self.st[dest as usize];
+            d.cursor = d.cursor.max(arrival);
+            d.active = true;
+            self.tel.requeued.inc();
+        }
+        Ok(())
+    }
+
+    /// Time a transfer through the fabric, retrying plan-injected failures
+    /// with capped exponential backoff. Returns the arrival instant at
+    /// `to`, or [`EngineError::TransferFailed`] once the retry budget is
+    /// exhausted.
+    fn transfer(
+        &mut self,
+        from: u32,
+        to: u32,
+        mut ready: SimTime,
+        bytes: u64,
+    ) -> EngineResult<SimTime> {
+        let mut attempt = 0u32;
+        loop {
+            match self
+                .cluster
+                .fabric()
+                .try_send(from, to, ready, bytes, attempt)
+            {
+                Ok(arrival) => return Ok(arrival),
+                Err(fault) => {
+                    attempt += 1;
+                    self.tel.retries.inc();
+                    if attempt > self.tuning.max_transfer_retries {
+                        return Err(EngineError::TransferFailed { attempt, fault });
+                    }
+                    let backoff = SimDuration::from_secs(
+                        (self.tuning.retry_backoff_base_s
+                            * f64::from(1u32 << (attempt - 1).min(31)))
+                        .min(self.tuning.retry_backoff_cap_s),
+                    );
+                    self.tel.event(from, "Retry", ready, ready + backoff, || {
+                        format!("transfer to rank {to} failed (attempt {attempt}); backing off")
+                    });
+                    ready += backoff;
+                }
+            }
+        }
+    }
+
+    /// Content hash of an ordered pair buffer, when journaling.
+    fn hash(&self, keys: &[J::Key], vals: &[J::Value]) -> Option<u64> {
+        self.journal
+            .as_ref()
+            .map(|j| (j.hook.hash_pairs)(keys, vals))
+    }
+
+    /// Verify-or-append one journal record (no-op without a journal).
+    /// Journaling never charges simulated time; a flush is recorded as a
+    /// zero-duration `JournalFlush` span at the commit instant.
+    fn jrecord(&mut self, rank: u32, at: SimTime, rec: JournalRecord) -> EngineResult<()> {
+        let Some(ctx) = self.journal.as_mut() else {
+            return Ok(());
+        };
+        match ctx.hook.journal.record(&rec).map_err(EngineError::from)? {
+            RecordOutcome::Replayed => ctx.replayed.inc(),
+            RecordOutcome::Buffered => ctx.records.inc(),
+            RecordOutcome::Flushed => {
+                ctx.records.inc();
+                ctx.flushes.inc();
+                let on_disk = ctx.hook.journal.replay_len() + ctx.hook.journal.appended();
+                self.tel.event(rank, "JournalFlush", at, at, || {
+                    format!("{on_disk} record(s) durable")
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The journal's first record, a job fingerprint over everything that
+/// shapes the schedule and the data. A resume against a journal written by
+/// a different job (or the same job on a different cluster shape) diverges
+/// on record 0 instead of replaying garbage.
+fn job_start<C: Chunk>(
+    cfg: &PipelineConfig,
+    ranks: u32,
+    reducers: &[u32],
+    depth: usize,
+    gpu_direct: bool,
+    ids: &[(u64, C)],
+) -> JournalRecord {
+    let n_chunks = ids.len() as u64;
+    let mut fp = Fnv64::new();
+    fp.write_u64(u64::from(ranks));
+    fp.write_u64(reducers.len() as u64);
+    for &r in reducers {
+        fp.write_u64(u64::from(r));
+    }
+    fp.write_u64(n_chunks);
+    fp.write_u64(depth as u64);
+    fp.write_u64(u64::from(gpu_direct));
+    fp.write_u64(cfg.map_mode as u64);
+    fp.write_u64(u64::from(cfg.combine));
+    fp.write_u64(cfg.partition.discriminant());
+    if let PartitionMode::Range { splitters } = &cfg.partition {
+        fp.write_u64(splitters.len() as u64);
+        for &s in splitters {
+            fp.write_u64(s);
+        }
+    }
+    fp.write_u64(cfg.sort as u64);
+    fp.write_u64(u64::from(cfg.sort_and_reduce));
+    for (_, c) in ids {
+        fp.write_u64(fnv1a(&c.serialize()));
+    }
+    JournalRecord::JobStart {
+        fingerprint: fp.finish(),
+        n_chunks,
+        ranks,
+        reducers: reducers.len() as u32,
+    }
 }
 
 /// One binned bucket in flight to its reducer rank, carrying the key-range
@@ -1758,15 +1675,6 @@ fn run_job_impl<J: GpmrJob>(
 /// to size its radix sort without a max-radix reduction.
 struct ShuffleMsg<K, V> {
     pairs: KvSet<K, V>,
-    max_radix: u64,
-}
-
-/// Everything a rank received for its sort stage: the concatenated pairs,
-/// the per-delivery (arrival, bytes) schedule for streamed input uploads,
-/// and the folded key-range bound.
-struct Inbound<K, V> {
-    pairs: KvSet<K, V>,
-    parts: Vec<(SimTime, u64)>,
     max_radix: u64,
 }
 
@@ -1802,14 +1710,7 @@ fn route_pairs<J: GpmrJob>(
     match mode {
         PartitionMode::None => {
             let max_radix = pairs.keys.iter().map(|k| k.radix()).max().unwrap_or(0);
-            let mut buckets: Vec<ShuffleMsg<J::Key, J::Value>> = (0..ranks)
-                .map(|_| ShuffleMsg {
-                    pairs: KvSet::new(),
-                    max_radix: 0,
-                })
-                .collect();
-            buckets[reducers[0] as usize] = ShuffleMsg { pairs, max_radix };
-            buckets
+            scatter(vec![(pairs, max_radix)], reducers, ranks)
         }
         PartitionMode::RoundRobin => scatter(
             split_buckets_bounded(pairs, nred, |k| (k.radix() % u64::from(nred)) as u32),
@@ -1836,7 +1737,7 @@ mod tests {
     use super::*;
     use crate::chunk::SliceChunk;
     use crate::job::PipelineConfig;
-    use gpmr_sim_gpu::{Gpu, GpuSpec, LaunchConfig, SimGpuResult};
+    use gpmr_sim_gpu::{FaultPlan, Gpu, GpuSpec, LaunchConfig, SimGpuResult};
 
     /// A minimal counting job with a configurable pipeline, used to
     /// exercise engine paths directly.
@@ -2092,8 +1993,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("job.gpj");
         let job = TestJob::with(PipelineConfig::default());
-        let tuning = EngineTuning::default();
-        let tel = Telemetry::disabled();
+        fn journaled(j: &mut Journal) -> RunOptions<'_, u32, u32> {
+            RunOptions::default().with_journal(Some(j))
+        }
 
         let plain = {
             let mut cl = Cluster::accelerator(4, GpuSpec::gt200());
@@ -2105,7 +2007,7 @@ mod tests {
         let mut journal = Journal::create(&path, 1).unwrap();
         let first = {
             let mut cl = Cluster::accelerator(4, GpuSpec::gt200());
-            run_job_journaled(&mut cl, &job, input(8000), &tuning, &tel, &mut journal).unwrap()
+            run(&mut cl, &job, input(8000), journaled(&mut journal)).unwrap()
         };
         let written = journal.appended();
         drop(journal);
@@ -2126,7 +2028,7 @@ mod tests {
         let mut journal = Journal::resume(&path, 1).unwrap();
         let second = {
             let mut cl = Cluster::accelerator(4, GpuSpec::gt200());
-            run_job_journaled(&mut cl, &job, input(8000), &tuning, &tel, &mut journal).unwrap()
+            run(&mut cl, &job, input(8000), journaled(&mut journal)).unwrap()
         };
         assert_eq!(journal.replayed(), records.len() as u64);
         assert_eq!(journal.appended(), 0);
@@ -2140,7 +2042,7 @@ mod tests {
         let mut journal = Journal::resume(&path, 1).unwrap();
         let err = {
             let mut cl = Cluster::accelerator(2, GpuSpec::gt200());
-            run_job_journaled(&mut cl, &job, input(8000), &tuning, &tel, &mut journal).unwrap_err()
+            run(&mut cl, &job, input(8000), journaled(&mut journal)).unwrap_err()
         };
         assert!(
             matches!(

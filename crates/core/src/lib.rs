@@ -20,10 +20,20 @@
 //! global Combine, partitioning, and the Sorter are all selectable, with
 //! working defaults (round-robin partitioner, CUDPP-style radix sort).
 //!
+//! ## Running a job
+//!
+//! Every job goes through one entry point, [`run`], whose [`RunOptions`]
+//! carry the engine tuning, a telemetry handle, caller-side control (stop
+//! instant, input residency) and an optional write-ahead journal.
+//! [`RunOptions::default`] reproduces the paper's setup, which is what
+//! the [`run_job`] shorthand passes. Execution traces are telemetry
+//! spans: render them with `gpmr_telemetry::export::gantt`.
+//!
 //! ## Quick start
 //!
 //! ```
-//! use gpmr_core::{run_job, GpmrJob, KvSet, SliceChunk};
+//! use gpmr_core::{run, run_job, GpmrJob, KvSet, RunOptions, SliceChunk};
+//! use gpmr_telemetry::{export, Telemetry};
 //! use gpmr_primitives::Segments;
 //! use gpmr_sim_gpu::{Gpu, GpuSpec, LaunchConfig, SimGpuResult, SimTime};
 //! use gpmr_sim_net::Cluster;
@@ -78,6 +88,15 @@
 //! let result = run_job(&mut cluster, &CountJob, chunks).unwrap();
 //! let total: u64 = result.merged_output().vals.iter().map(|&v| v as u64).sum();
 //! assert_eq!(total, 10_000);
+//!
+//! // The same job with telemetry on: identical results, plus a span
+//! // recording that renders as a Gantt chart (one row per GPU).
+//! let tel = Telemetry::enabled();
+//! let opts = RunOptions { telemetry: tel.clone(), ..RunOptions::default() };
+//! let traced = run(&mut cluster, &CountJob, SliceChunk::split(&data, 2048), opts).unwrap();
+//! assert_eq!(traced.timings, result.timings);
+//! let chart = export::gantt(&tel.snapshot(), 4, 60);
+//! assert_eq!(chart.lines().filter(|l| l.starts_with("rank")).count(), 4);
 //! ```
 
 #![warn(missing_docs)]
@@ -92,14 +111,12 @@ pub mod pod;
 pub mod rounds;
 pub mod scheduler;
 pub mod stats;
-pub mod trace;
 pub mod types;
 
 pub use chunk::{Chunk, PairChunk, SliceChunk};
 pub use engine::{
-    run_job, run_job_analyzed, run_job_controlled, run_job_controlled_journaled,
-    run_job_instrumented, run_job_journaled, run_job_traced, run_job_tuned, EngineTuning,
-    JobResult, RunControl,
+    run, run_job, run_job_instrumented, EngineTuning, JobResult, JournalHook, RunControl,
+    RunOptions,
 };
 pub use error::{EngineError, EngineResult};
 pub use job::{
@@ -115,5 +132,4 @@ pub use rounds::{
 };
 pub use scheduler::WorkQueues;
 pub use stats::{efficiency, speedup, JobTimings, StageTimes};
-pub use trace::{JobTrace, TraceEvent, TraceKind};
 pub use types::{Key, KvSet, Value};

@@ -33,12 +33,10 @@ use gpmr_sim_net::Cluster;
 use gpmr_telemetry::Telemetry;
 
 use crate::chunk::{Chunk, PairChunk};
-use crate::engine::{
-    run_job_controlled, run_job_controlled_journaled, EngineTuning, JobResult, RunControl,
-};
+use crate::engine::{run, EngineTuning, JournalHook, RunControl, RunOptions};
 use crate::error::EngineResult;
 use crate::job::GpmrJob;
-use crate::journal::{hash_pairs, Fnv64, Journal, JournalRecord};
+use crate::journal::{Fnv64, Journal, JournalRecord};
 use crate::pod::Pod;
 use crate::types::KvSet;
 
@@ -256,25 +254,6 @@ pub fn rechunk_interleaved<K: Pod + PartialEq, V: Pod>(
     out
 }
 
-/// Journal hooks for the round driver (engine-level hooks live inside the
-/// per-round engine call). `run` is the journaled engine entry point,
-/// monomorphized where the `Pod` bounds hold so the driver loop itself
-/// needs none.
-#[allow(clippy::type_complexity)]
-struct RoundJournal<'j, J: GpmrJob> {
-    journal: &'j mut Journal,
-    hash_pairs: fn(&[J::Key], &[J::Value]) -> u64,
-    run: fn(
-        &mut Cluster,
-        &J,
-        Vec<J::Chunk>,
-        &EngineTuning,
-        &Telemetry,
-        &mut Journal,
-        &RunControl,
-    ) -> EngineResult<JobResult<J::Key, J::Value>>,
-}
-
 /// Drive `driver` through its rounds on `cluster`. The initial `chunks`
 /// are round 0's input; [`RoundDecision::Again`] rounds re-dispatch them
 /// (hence `Chunk: Clone`), [`RoundDecision::Chain`] rounds replace them
@@ -289,7 +268,12 @@ pub fn run_rounds<D: RoundJob>(
 where
     <D::Job as GpmrJob>::Chunk: Clone,
 {
-    run_rounds_impl(cluster, driver, chunks, tuning, tel, None)
+    let opts = RunOptions {
+        tuning: *tuning,
+        telemetry: tel.clone(),
+        ..RunOptions::default()
+    };
+    run_rounds_impl(cluster, driver, chunks, opts)
 }
 
 /// [`run_rounds`] with a write-ahead [`Journal`]: round boundaries are
@@ -310,21 +294,19 @@ where
     <D::Job as GpmrJob>::Key: Pod,
     <D::Job as GpmrJob>::Value: Pod,
 {
-    let jr = RoundJournal {
-        journal,
-        hash_pairs: hash_pairs::<<D::Job as GpmrJob>::Key, <D::Job as GpmrJob>::Value>,
-        run: run_job_controlled_journaled::<D::Job>,
+    let opts = RunOptions {
+        tuning: *tuning,
+        telemetry: tel.clone(),
+        ..RunOptions::default()
     };
-    run_rounds_impl(cluster, driver, chunks, tuning, tel, Some(jr))
+    run_rounds_impl(cluster, driver, chunks, opts.with_journal(Some(journal)))
 }
 
 fn run_rounds_impl<D: RoundJob>(
     cluster: &mut Cluster,
     driver: &mut D,
     mut chunks: Vec<<D::Job as GpmrJob>::Chunk>,
-    tuning: &EngineTuning,
-    tel: &Telemetry,
-    mut jr: Option<RoundJournal<'_, D::Job>>,
+    mut opts: RunOptions<'_, <D::Job as GpmrJob>::Key, <D::Job as GpmrJob>::Value>,
 ) -> EngineResult<DriveResult<D::Job>>
 where
     <D::Job as GpmrJob>::Chunk: Clone,
@@ -335,7 +317,7 @@ where
     let mut resident = false;
     let mut round = 0u32;
     loop {
-        if let Some(jr) = jr.as_mut() {
+        if let Some(jr) = opts.journal.as_mut() {
             jr.journal
                 .record(&JournalRecord::RoundStart {
                     round,
@@ -344,23 +326,17 @@ where
                 .map_err(crate::error::EngineError::from)?;
         }
         let job = driver.job(round);
-        let control = RunControl {
-            stop_at: None,
-            inputs_resident: resident,
+        let round_opts = RunOptions {
+            tuning: opts.tuning,
+            telemetry: opts.telemetry.clone(),
+            control: RunControl {
+                stop_at: None,
+                inputs_resident: resident,
+            },
+            journal: opts.journal.as_mut().map(JournalHook::reborrow),
         };
         let n_chunks = chunks.len();
-        let result: JobResult<_, _> = match jr.as_mut() {
-            Some(jrn) => (jrn.run)(
-                cluster,
-                &job,
-                chunks.clone(),
-                tuning,
-                tel,
-                &mut *jrn.journal,
-                &control,
-            )?,
-            None => run_job_controlled(cluster, &job, chunks.clone(), tuning, tel, &control)?,
-        };
+        let result = run(cluster, &job, chunks.clone(), round_opts)?;
         let makespan = result.timings.total;
         let quiet = result.timings.chunks_stolen == 0
             && result.timings.chunks_requeued == 0
@@ -389,15 +365,16 @@ where
             resident,
             chunks: n_chunks,
         });
-        if tel.is_enabled() {
-            tel.span(0, "Round", round_start.as_secs(), clock.as_secs())
+        if opts.telemetry.is_enabled() {
+            opts.telemetry
+                .span(0, "Round", round_start.as_secs(), clock.as_secs())
                 .name(format!("round {round}"))
                 .attr("round", round.to_string())
                 .attr("resident", resident.to_string())
                 .attr("chunks", n_chunks.to_string())
                 .record();
         }
-        if let Some(jr) = jr.as_mut() {
+        if let Some(jr) = opts.journal.as_mut() {
             let mut h = Fnv64::new();
             for o in &result.outputs {
                 h.write_u64((jr.hash_pairs)(&o.keys, &o.vals));

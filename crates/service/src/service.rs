@@ -29,8 +29,7 @@ use gpmr_apps::sio::{generate_integers, sio_chunks};
 use gpmr_apps::text::{chunk_text, generate_text, Dictionary};
 use gpmr_apps::{SioJob, WoJob};
 use gpmr_core::{
-    run_job_controlled, run_job_controlled_journaled, EngineError, EngineResult, EngineTuning,
-    GpmrJob, JobResult, Journal, KvSet, Pod, RunControl,
+    run, EngineError, EngineResult, EngineTuning, JobResult, Journal, KvSet, RunControl, RunOptions,
 };
 use gpmr_sim_gpu::{FaultPlan, GpuSpec, SimTime};
 use gpmr_sim_net::Cluster;
@@ -795,7 +794,7 @@ impl JobService {
                 self.cfg.gpus,
                 &self.cfg.tuning,
                 &tel,
-                &RunControl::unrestricted(),
+                &RunControl::default(),
             );
             capture = tel.is_enabled().then(|| tel.snapshot());
             result.map(|r| {
@@ -1002,35 +1001,6 @@ fn journal_temp_path() -> PathBuf {
     std::env::temp_dir().join(format!("gpmr-service-{}-{}.jnl", std::process::id(), seq))
 }
 
-fn run_engine<J>(
-    cluster: &mut Cluster,
-    job: &J,
-    chunks: Vec<J::Chunk>,
-    tuning: &EngineTuning,
-    tel: &Telemetry,
-    journaled: bool,
-    control: &RunControl,
-) -> EngineResult<JobResult<J::Key, J::Value>>
-where
-    J: GpmrJob,
-    J::Key: Pod,
-    J::Value: Pod,
-{
-    if journaled {
-        // The journal layer is file-based; service-managed jobs journal
-        // into a throwaway path that lives only for the pass.
-        let path = journal_temp_path();
-        let mut journal = Journal::create(&path, 1)?;
-        let result =
-            run_job_controlled_journaled(cluster, job, chunks, tuning, tel, &mut journal, control);
-        drop(journal);
-        let _ = std::fs::remove_file(&path);
-        result
-    } else {
-        run_job_controlled(cluster, job, chunks, tuning, tel, control)
-    }
-}
-
 /// Run one job's engine pass on `cluster`, regenerating its input from
 /// the spec (deterministic: a rerun sees bit-identical chunks).
 fn run_solo(
@@ -1049,19 +1019,22 @@ fn run_solo(
         plan = Some(plan.unwrap_or_default().stall(rank, at_s, dur_s));
     }
     cluster.set_fault_plan(plan);
+    // The journal layer is file-based; service-managed jobs journal into a
+    // throwaway path that lives only for the pass.
+    let path = spec.journal.then(journal_temp_path);
+    let mut journal = path.as_ref().map(|p| Journal::create(p, 1)).transpose()?;
+    let opts = RunOptions {
+        tuning: *tuning,
+        telemetry: tel.clone(),
+        control: *control,
+        journal: None,
+    }
+    .with_journal(journal.as_mut());
     let result = match spec.kind {
         JobKind::Sio { n, seed, chunk_kb } => {
             let data = generate_integers(n, seed);
             let chunks = sio_chunks(&data, chunk_kb * 1024);
-            run_engine(
-                cluster,
-                &SioJob::default(),
-                chunks,
-                tuning,
-                tel,
-                spec.journal,
-                control,
-            )
+            run(cluster, &SioJob::default(), chunks, opts)
         }
         JobKind::Wo {
             bytes,
@@ -1073,10 +1046,14 @@ fn run_solo(
             let text = generate_text(&dict, bytes, seed + 1);
             let chunks = chunk_text(&text, chunk_kb * 1024);
             let job = WoJob::new(dict, gpus);
-            run_engine(cluster, &job, chunks, tuning, tel, spec.journal, control)
+            run(cluster, &job, chunks, opts)
         }
     };
     cluster.set_fault_plan(None);
+    drop(journal);
+    if let Some(p) = path {
+        let _ = std::fs::remove_file(p);
+    }
     result
 }
 
@@ -1102,15 +1079,11 @@ fn run_batch(
         id_base += count;
     }
     cluster.set_fault_plan(None);
-    let result = run_engine(
-        cluster,
-        &SioBatchJob,
-        all,
-        tuning,
-        &Telemetry::disabled(),
-        false,
-        &RunControl::unrestricted(),
-    )?;
+    let opts = RunOptions {
+        tuning: *tuning,
+        ..RunOptions::default()
+    };
+    let result = run(cluster, &SioBatchJob, all, opts)?;
     let makespan = result.timings.total.as_secs();
     Ok((split_outputs(&result.outputs, specs.len()), makespan))
 }

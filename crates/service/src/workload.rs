@@ -74,6 +74,24 @@ fn parse_num<T: std::str::FromStr>(line: usize, key: &str, val: &str) -> Result<
         .map_err(|_| err(line, format!("bad value for {key}: {val:?}")))
 }
 
+/// [`parse_num`], rejecting values outside the range `valid` accepts
+/// (described by `what`): a zero size or cap, or a negative or non-finite
+/// time, cannot make progress.
+fn parse_checked<T: std::str::FromStr>(
+    line: usize,
+    key: &str,
+    val: &str,
+    what: &str,
+    valid: impl Fn(&T) -> bool,
+) -> Result<T, WorkloadError> {
+    let v = parse_num(line, key, val)?;
+    if valid(&v) {
+        Ok(v)
+    } else {
+        Err(err(line, format!("{key} must be {what}, got {val:?}")))
+    }
+}
+
 /// Parse a workload script. Comments (`#`) and blank lines are ignored.
 pub fn parse(text: &str) -> Result<Workload, WorkloadError> {
     let mut tenants: Vec<TenantConfig> = Vec::new();
@@ -96,7 +114,10 @@ pub fn parse(text: &str) -> Result<Workload, WorkloadError> {
                         .split_once('=')
                         .ok_or_else(|| err(lineno, format!("expected key=value, got {tok:?}")))?;
                     match k {
-                        "max_concurrent" => cfg.max_concurrent = parse_num(lineno, k, v)?,
+                        "max_concurrent" => {
+                            cfg.max_concurrent =
+                                parse_checked(lineno, k, v, "positive", |&c| c > 0)?
+                        }
                         "gpu_seconds" => cfg.gpu_seconds = parse_num(lineno, k, v)?,
                         "mem_share" => cfg.mem_share = parse_num(lineno, k, v)?,
                         _ => return Err(err(lineno, format!("unknown tenant key {k:?}"))),
@@ -105,10 +126,12 @@ pub fn parse(text: &str) -> Result<Workload, WorkloadError> {
                 tenants.push(cfg);
             }
             "at" => {
-                let t: f64 = parse_num(
+                let t = parse_checked(
                     lineno,
                     "at",
                     toks.get(1).ok_or_else(|| err(lineno, "at needs a time"))?,
+                    "a finite, non-negative number of seconds",
+                    |t: &f64| t.is_finite() && *t >= 0.0,
                 )?;
                 match toks.get(2) {
                     Some(&"submit") => {
@@ -170,9 +193,13 @@ fn parse_submit(lineno: usize, toks: &[&str]) -> Result<JobSpec, WorkloadError> 
             "bytes" => bytes = Some(parse_num(lineno, k, v)?),
             "dict" => dict = parse_num(lineno, k, v)?,
             "seed" => seed = parse_num(lineno, k, v)?,
-            "chunk_kb" => chunk_kb = parse_num(lineno, k, v)?,
+            "chunk_kb" => chunk_kb = parse_checked(lineno, k, v, "positive", |&c| c > 0)?,
             "priority" => priority = parse_num(lineno, k, v)?,
-            "deadline" => deadline = Some(parse_num(lineno, k, v)?),
+            "deadline" => {
+                let what = "a finite, positive number of seconds";
+                let d = parse_checked(lineno, k, v, what, |d: &f64| d.is_finite() && *d > 0.0)?;
+                deadline = Some(d);
+            }
             "kill" => {
                 let (r, at) = v
                     .split_once('@')
@@ -416,5 +443,51 @@ mod tests {
             .unwrap_err()
             .message
             .contains("n="));
+    }
+
+    /// The error a one-tenant script fails with when `line` is its second
+    /// line.
+    fn second_line_error(line: &str) -> WorkloadError {
+        let err = parse(&format!("tenant a\n{line}")).unwrap_err();
+        assert_eq!(err.line, 2, "{err}");
+        err
+    }
+
+    #[test]
+    fn rejects_a_negative_submit_time() {
+        let err = second_line_error("at -1 submit a sio n=100");
+        assert!(err.message.contains("at must be"), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_non_finite_submit_time() {
+        for t in ["inf", "NaN", "-inf"] {
+            let err = second_line_error(&format!("at {t} cancel job1"));
+            assert!(err.message.contains("finite"), "{t}: {err}");
+        }
+    }
+
+    #[test]
+    fn rejects_a_negative_deadline() {
+        let err = second_line_error("at 0 submit a sio n=100 deadline=-1");
+        assert!(err.message.contains("deadline must be"), "{err}");
+        second_line_error("at 0 submit a sio n=100 deadline=0");
+        second_line_error("at 0 submit a sio n=100 deadline=inf");
+    }
+
+    #[test]
+    fn rejects_a_zero_chunk_size() {
+        let err = second_line_error("at 0 submit a wo bytes=4096 chunk_kb=0");
+        assert!(err.message.contains("chunk_kb must be positive"), "{err}");
+    }
+
+    #[test]
+    fn rejects_a_zero_concurrency_cap() {
+        let err = parse("tenant a\ntenant b max_concurrent=0").unwrap_err();
+        assert_eq!(err.line, 2, "{err}");
+        assert!(
+            err.message.contains("max_concurrent must be positive"),
+            "{err}"
+        );
     }
 }

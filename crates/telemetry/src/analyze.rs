@@ -55,20 +55,68 @@ pub enum Stage {
     Other,
 }
 
+/// One pipeline span kind the engine records: the span's `kind` string,
+/// its one-letter Gantt tag, its legend label, and its analysis stage.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SpanKind {
+    /// The recorded span kind.
+    pub name: &'static str,
+    /// Cell tag in [`crate::export::gantt`].
+    pub tag: char,
+    /// Short label in the Gantt legend.
+    pub label: &'static str,
+    /// Stage the span's time is attributed to.
+    pub stage: Stage,
+}
+
+const fn kind(name: &'static str, tag: char, label: &'static str, stage: Stage) -> SpanKind {
+    SpanKind {
+        name,
+        tag,
+        label,
+        stage,
+    }
+}
+
+/// The engine's span vocabulary, in pipeline order. Container spans
+/// (`"Chunk"`, `"Round"`) and fabric or service spans (`"NetSend"`,
+/// `"QueueWait"`) are not pipeline stages and are not listed.
+pub const SPAN_KINDS: [SpanKind; 19] = [
+    kind("Setup", '#', "setup", Stage::Setup),
+    kind("Upload", 'u', "upload", Stage::Upload),
+    kind("Map", 'M', "map", Stage::Map),
+    kind("PartialReduce", 'p', "partial-reduce", Stage::PartialReduce),
+    kind("AccumulateInit", 'a', "accum-init", Stage::Map),
+    kind("Partition", 't', "partition", Stage::Bin),
+    kind("Download", 'd', "download", Stage::Bin),
+    kind("Send", 's', "send", Stage::Bin),
+    kind("Combine", 'C', "combine", Stage::Bin),
+    kind("Steal", '!', "steal", Stage::Recovery),
+    kind("Sort", 'S', "sort", Stage::Sort),
+    kind("Reduce", 'R', "reduce", Stage::Reduce),
+    kind("GpuLost", 'X', "gpu-lost", Stage::Recovery),
+    kind("Requeue", 'q', "requeue", Stage::Recovery),
+    kind("Retry", 'r', "retry", Stage::Recovery),
+    kind("Stall", 'z', "stall", Stage::Recovery),
+    kind("GpuAdded", '+', "gpu-added", Stage::Other),
+    kind("JournalFlush", 'J', "journal-flush", Stage::Other),
+    kind("Cancelled", 'c', "cancelled", Stage::Recovery),
+];
+
+impl SpanKind {
+    /// The vocabulary entry for a recorded span kind, if it is one.
+    pub fn of(name: &str) -> Option<&'static SpanKind> {
+        SPAN_KINDS.iter().find(|k| k.name == name)
+    }
+}
+
 impl Stage {
     /// Stage for a recorded span kind.
     pub fn of_kind(kind: &str) -> Stage {
         match kind {
-            "Setup" => Stage::Setup,
-            "Upload" => Stage::Upload,
-            "Map" | "AccumulateInit" => Stage::Map,
-            "PartialReduce" => Stage::PartialReduce,
-            "Partition" | "Download" | "Send" | "Combine" | "NetSend" => Stage::Bin,
-            "Sort" => Stage::Sort,
-            "Reduce" => Stage::Reduce,
-            "Retry" | "Stall" | "Requeue" | "Steal" | "GpuLost" | "Cancelled" => Stage::Recovery,
+            "NetSend" => Stage::Bin,
             "QueueWait" => Stage::QueueWait,
-            _ => Stage::Other,
+            _ => SpanKind::of(kind).map_or(Stage::Other, |k| k.stage),
         }
     }
 
@@ -781,6 +829,49 @@ mod tests {
     use super::*;
     use crate::metrics::MetricsSnapshot;
     use crate::span::SpanRecorder;
+
+    #[test]
+    fn span_kinds_have_unique_names_and_tags() {
+        let names: BTreeSet<&str> = SPAN_KINDS.iter().map(|k| k.name).collect();
+        let tags: BTreeSet<char> = SPAN_KINDS.iter().map(|k| k.tag).collect();
+        assert_eq!(names.len(), SPAN_KINDS.len());
+        assert_eq!(tags.len(), SPAN_KINDS.len());
+        for k in &SPAN_KINDS {
+            assert_eq!(SpanKind::of(k.name), Some(k));
+        }
+        assert_eq!(SpanKind::of("Chunk"), None);
+        assert_eq!(SpanKind::of("NetSend"), None);
+    }
+
+    #[test]
+    fn stage_of_kind_covers_engine_fabric_and_service_kinds() {
+        let groups: [(Stage, &[&str]); 10] = [
+            (Stage::Setup, &["Setup"]),
+            (Stage::Upload, &["Upload"]),
+            (Stage::Map, &["Map", "AccumulateInit"]),
+            (Stage::PartialReduce, &["PartialReduce"]),
+            (
+                Stage::Bin,
+                &["Partition", "Download", "Send", "Combine", "NetSend"],
+            ),
+            (Stage::Sort, &["Sort"]),
+            (Stage::Reduce, &["Reduce"]),
+            (
+                Stage::Recovery,
+                &["Retry", "Stall", "Requeue", "Steal", "GpuLost", "Cancelled"],
+            ),
+            (Stage::QueueWait, &["QueueWait"]),
+            (
+                Stage::Other,
+                &["GpuAdded", "JournalFlush", "Chunk", "Round"],
+            ),
+        ];
+        for (stage, kinds) in groups {
+            for kind in kinds {
+                assert_eq!(Stage::of_kind(kind), stage, "{kind}");
+            }
+        }
+    }
 
     fn span(track: u32, kind: &str, start: f64, end: f64) -> SpanRecord {
         SpanRecord {

@@ -1,6 +1,6 @@
 //! Exporters: Chrome trace-event / Perfetto JSON, a JSONL event stream,
-//! and a per-track utilization summary — plus a structural validator used
-//! by tests and CI.
+//! a per-track utilization summary and an ASCII Gantt chart — plus a
+//! structural validator used by tests and CI.
 //!
 //! ## Perfetto mapping
 //!
@@ -11,6 +11,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::analyze::{SpanKind, SPAN_KINDS};
 use crate::json::{parse, Value};
 use crate::span::{CounterSample, SpanRecord, TelemetrySnapshot};
 
@@ -363,6 +364,66 @@ impl SummaryReport {
     }
 }
 
+/// Render the pipeline spans of `snap` (those named in [`SPAN_KINDS`]) as
+/// an ASCII Gantt chart: one row per rank track `0..ranks`, `width`
+/// columns of simulated time up to the last pipeline span's end. Later
+/// spans overwrite earlier ones in a cell, so kernels show through the
+/// longer transfer windows they overlap. Container (`"Chunk"`), fabric
+/// and service spans are not drawn.
+pub fn gantt(snap: &TelemetrySnapshot, ranks: u32, width: usize) -> String {
+    let width = width.max(10);
+    let spans: Vec<(&SpanRecord, char)> = snap
+        .spans
+        .iter()
+        .filter_map(|s| SpanKind::of(&s.kind).map(|k| (s, k.tag)))
+        .collect();
+    let end = spans.iter().map(|(s, _)| s.end_s).fold(0.0, f64::max);
+    if end <= 0.0 {
+        return String::from("(empty trace)\n");
+    }
+    let col = |t: f64| (((t / end) * width as f64) as usize).min(width.saturating_sub(1));
+    let legend: Vec<String> = SPAN_KINDS
+        .iter()
+        .map(|k| format!("{} {}", k.tag, k.label))
+        .collect();
+    let header = format!(
+        "time 0 .. {:.3} ms ({} columns; legend: {})",
+        end * 1e3,
+        width,
+        legend.join(", ")
+    );
+    // Wrap the header to ~78 columns.
+    let mut out = String::new();
+    let mut line_len = 0;
+    for (i, word) in header.split(' ').enumerate() {
+        if i > 0 {
+            if line_len + 1 + word.len() > 78 {
+                out.push('\n');
+                line_len = 0;
+            } else {
+                out.push(' ');
+                line_len += 1;
+            }
+        }
+        out.push_str(word);
+        line_len += word.len();
+    }
+    out.push('\n');
+    for r in 0..ranks {
+        let mut row = vec![' '; width];
+        for (s, tag) in spans.iter().filter(|(s, _)| s.track == r) {
+            let (c0, c1) = (col(s.start_s), col(s.end_s).max(col(s.start_s)));
+            for cell in row.iter_mut().take(c1 + 1).skip(c0) {
+                *cell = *tag;
+            }
+        }
+        out.push_str(&format!("rank {r:>3} |"));
+        out.extend(row);
+        out.push_str("|\n");
+    }
+    out
+}
+
 /// Structural statistics from a validated Perfetto file.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PerfettoStats {
@@ -591,5 +652,82 @@ mod tests {
         ]}"#;
         let stats = validate_perfetto(doc).unwrap();
         assert_eq!(stats.named_tracks, 2);
+    }
+    /// A snapshot holding bare spans `(track, kind, start_s, end_s)`.
+    fn spans(list: &[(u32, &str, f64, f64)]) -> TelemetrySnapshot {
+        let mut snap = TelemetrySnapshot::default();
+        for &(track, kind, start_s, end_s) in list {
+            snap.spans.push(SpanRecord {
+                id: 0,
+                parent: None,
+                track,
+                kind: kind.into(),
+                name: kind.into(),
+                start_s,
+                end_s,
+                attrs: Vec::new(),
+            });
+        }
+        snap
+    }
+
+    const GANTT_SAMPLE: [(u32, &str, f64, f64); 4] = [
+        (0, "Upload", 0.0, 0.1),
+        (0, "Map", 0.1, 0.4),
+        (1, "Map", 0.2, 0.3),
+        (0, "Sort", 0.5, 0.8),
+    ];
+
+    #[test]
+    fn gantt_renders_rows_and_tags() {
+        let g = gantt(&spans(&GANTT_SAMPLE), 2, 40);
+        let rows: Vec<&str> = g.lines().filter(|l| l.starts_with("rank")).collect();
+        assert_eq!(rows.len(), 2);
+        assert!(rows[0].contains('M'));
+        assert!(rows[0].contains('S'));
+        assert!(rows[1].contains('M'));
+        // All rows same width.
+        assert_eq!(rows[0].len(), rows[1].len());
+        assert!(g.starts_with("time 0 .. 800.000 ms (40 columns;"));
+    }
+
+    #[test]
+    fn empty_gantt_renders_placeholder() {
+        let snap = TelemetrySnapshot::default();
+        assert_eq!(gantt(&snap, 4, 40), "(empty trace)\n");
+    }
+
+    #[test]
+    fn gantt_skips_container_and_fabric_spans() {
+        // A container span and a fabric span ending after every pipeline
+        // span neither stretch the time axis nor draw cells.
+        let mut list = GANTT_SAMPLE.to_vec();
+        list.extend([(0, "Chunk", 0.0, 2.0), (2, "NetSend", 0.0, 2.0)]);
+        let g = gantt(&spans(&list), 3, 40);
+        assert_eq!(g, gantt(&spans(&GANTT_SAMPLE), 3, 40));
+        assert!(g.ends_with(&format!("rank   2 |{}|\n", " ".repeat(40))));
+    }
+
+    #[test]
+    fn gantt_legend_lists_every_tag_including_fault_tags() {
+        let g = gantt(&spans(&[(0, "GpuLost", 0.0, 0.1)]), 1, 40);
+        let header = g.replace('\n', " ");
+        for k in SPAN_KINDS {
+            let entry = format!("{} {}", k.tag, k.label);
+            assert!(header.contains(&entry), "legend missing {entry}: {g}");
+        }
+        // The fault-injection tags from the fault-tolerance scheduler must
+        // be documented in every rendered Gantt header.
+        for tag in [
+            "X gpu-lost",
+            "q requeue",
+            "r retry",
+            "z stall",
+            "+ gpu-added",
+            "J journal-flush",
+        ] {
+            assert!(header.contains(tag), "legend missing {tag}");
+        }
+        assert!(g.lines().any(|l| l.starts_with("rank   0 |X")));
     }
 }

@@ -127,6 +127,7 @@ fn render_string(s: &str, out: &mut String) {
 /// Parse a JSON document. Returns a descriptive error on malformed input.
 pub fn parse(input: &str) -> Result<Value, String> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -140,6 +141,7 @@ pub fn parse(input: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -257,12 +259,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or backslash
+                    // as one slice. Both are ASCII, so the run starts and
+                    // ends on char boundaries of the `&str` input.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -350,6 +355,35 @@ mod tests {
         let v = Value::str("a\"b\\c\nd\te\u{1}f");
         let text = v.render();
         assert_eq!(parse(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn multibyte_text_mixed_with_escapes_round_trips() {
+        let s = "é\\ü\"日本\n語\u{1}🦀\t€";
+        let v = Value::str(s);
+        assert_eq!(parse(&v.render()).unwrap(), v);
+        let doc = r#"["ä\u00e9ß\"🦀\\", "\u65e5本"]"#;
+        let arr = parse(doc).unwrap();
+        let arr = arr.as_arr().unwrap();
+        assert_eq!(arr[0], Value::str("äéß\"🦀\\"));
+        assert_eq!(arr[1], Value::str("日本"));
+        assert!(parse("\"🦀").is_err(), "unterminated after multi-byte text");
+    }
+
+    #[test]
+    fn megabyte_string_value_parses_in_linear_time() {
+        // One ~1 MB string value must parse in time linear in its length.
+        let body: String = "ab€".repeat(210_000);
+        let doc = format!("{{\"detail\":\"{body}\\n\"}}");
+        assert!(doc.len() > 1_000_000);
+        let started = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(
+            v.get("detail").and_then(Value::as_str).map(str::len),
+            Some(body.len() + 1)
+        );
+        assert!(elapsed.as_secs_f64() < 2.0, "1 MB string took {elapsed:?}");
     }
 
     #[test]

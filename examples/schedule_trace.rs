@@ -6,7 +6,7 @@
 //! Run with: `cargo run --release --example schedule_trace`
 //! Then open `target/schedule_trace.json` in https://ui.perfetto.dev
 
-use gpmr::core::{run_job_instrumented, EngineTuning, JobTrace, TraceKind};
+use gpmr::core::{run, RunOptions};
 use gpmr::prelude::*;
 use gpmr::telemetry::{export, Telemetry};
 use gpmr_apps::sio::{generate_integers, sio_chunks};
@@ -24,19 +24,15 @@ fn main() {
     // One telemetry handle records everything: spans, counters, samples.
     let tel = Telemetry::enabled();
     let mut cluster = Cluster::accelerator(gpus, GpuSpec::gt200());
-    let result = run_job_instrumented(
-        &mut cluster,
-        &SioJob::default(),
-        chunks,
-        &EngineTuning::default(),
-        &tel,
-    )
-    .expect("job failed");
+    let opts = RunOptions {
+        telemetry: tel.clone(),
+        ..RunOptions::default()
+    };
+    let result = run(&mut cluster, &SioJob::default(), chunks, opts).expect("job failed");
     let snap = tel.snapshot();
 
-    // The classic Gantt chart is derived from the same recording.
-    let trace = JobTrace::from_telemetry(&snap);
-    println!("{}", trace.gantt(gpus, 110));
+    // The Gantt chart is rendered from the same recording.
+    println!("{}", export::gantt(&snap, gpus, 110));
     println!("simulated time: {}", result.total_time());
     println!(
         "recorded: {} spans, {} counter samples, {} metrics",
@@ -45,17 +41,9 @@ fn main() {
         snap.metrics.counters.len(),
     );
 
-    // Quantify the overlap the chart shows: how much upload time hides
-    // under map kernels.
-    for r in 0..gpus {
-        let upload = trace.busy_by_kind(r, TraceKind::Upload);
-        let map = trace.busy_by_kind(r, TraceKind::Map);
-        let sort = trace.busy_by_kind(r, TraceKind::Sort);
-        println!("rank {r}: upload busy {upload}, map busy {map}, sort busy {sort}");
-    }
-
-    // Per-track utilization from the span recording ("Chunk" container
-    // spans excluded so they don't double-count their children).
+    // Per-track busy time by span kind — how much upload time hides under
+    // map kernels — from the span recording ("Chunk" container spans
+    // excluded so they don't double-count their children).
     println!(
         "\n{}",
         export::summary_report(&snap, &["Chunk"]).render_text()

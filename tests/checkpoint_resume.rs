@@ -14,10 +14,9 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use gpmr::core::journal::{scan_bytes, Journal, JournalError, JournalRecord};
-use gpmr::core::{run_job_journaled, EngineError, EngineTuning, JobTimings};
+use gpmr::core::{run, EngineError, EngineTuning, JobTimings, RunOptions};
 use gpmr::prelude::*;
 use gpmr::sim_gpu::FaultPlan;
-use gpmr::telemetry::Telemetry;
 use gpmr_apps::sio::{self, sio_chunks};
 use proptest::prelude::*;
 
@@ -54,13 +53,16 @@ fn run_journaled(
 ) -> Result<(Vec<KvSet<u32, u32>>, JobTimings), EngineError> {
     let data = sio::generate_integers(DATA_N, seed);
     let mut cl = cluster(ranks, plan);
-    let result = run_job_journaled(
+    let opts = RunOptions {
+        tuning: tuning(gpu_direct),
+        ..RunOptions::default()
+    };
+    let chunks = sio_chunks(&data, 2 * 1024);
+    let result = run(
         &mut cl,
         &SioJob::default(),
-        sio_chunks(&data, 2 * 1024),
-        &tuning(gpu_direct),
-        &Telemetry::disabled(),
-        journal,
+        chunks,
+        opts.with_journal(Some(journal)),
     )?;
     Ok((result.outputs, result.timings))
 }

@@ -8,14 +8,20 @@
 use std::sync::Arc;
 
 use gpmr::apps::text::{chunk_text, generate_text};
+use gpmr::core::{run, EngineTuning, JobTimings, Journal, RunOptions};
 use gpmr::prelude::*;
 use gpmr::sim_gpu::{set_exec_backend, ExecBackend, FaultPlan};
 
-fn run_wo_faulted(
+type WoRun = (Vec<KvSet<u32, u32>>, JobTimings);
+
+/// The WO job under `opts`, on a cluster whose kernels run on `workers`
+/// host threads of `backend`.
+fn run_wo_with(
     workers: usize,
     backend: ExecBackend,
     plan: Option<FaultPlan>,
-) -> (Vec<KvSet<u32, u32>>, gpmr::core::JobTimings) {
+    opts: RunOptions<'_, u32, u32>,
+) -> WoRun {
     set_exec_backend(backend);
     // 2 nodes x 2 GPUs, the smallest shape that exercises both intra-node
     // PCI-e sharing and inter-node network binning.
@@ -28,12 +34,16 @@ fn run_wo_faulted(
     let text = generate_text(&dict, 120_000, 12);
     let chunks = chunk_text(&text, 16 * 1024);
     let job = WoJob::new(dict, 4);
-    let result = run_job(&mut cluster, &job, chunks).expect("job runs");
+    let result = run(&mut cluster, &job, chunks, opts).expect("job runs");
     set_exec_backend(ExecBackend::Pool);
     (result.outputs, result.timings)
 }
 
-fn run_wo(workers: usize, backend: ExecBackend) -> (Vec<KvSet<u32, u32>>, gpmr::core::JobTimings) {
+fn run_wo_faulted(workers: usize, backend: ExecBackend, plan: Option<FaultPlan>) -> WoRun {
+    run_wo_with(workers, backend, plan, RunOptions::default())
+}
+
+fn run_wo(workers: usize, backend: ExecBackend) -> WoRun {
     run_wo_faulted(workers, backend, None)
 }
 
@@ -45,58 +55,28 @@ fn run_wo_tuned(
     depth: u32,
     gpu_direct: bool,
     plan: Option<FaultPlan>,
-) -> (Vec<KvSet<u32, u32>>, gpmr::core::JobTimings) {
-    use gpmr::core::{run_job_tuned, EngineTuning};
-    set_exec_backend(backend);
-    let mut cluster = Cluster::new(Topology::new(2, 2, 2), GpuSpec::gt200());
-    cluster.set_fault_plan(plan);
-    for rank in 0..4 {
-        cluster.gpu(rank).worker_threads = workers;
-    }
-    let dict = Arc::new(Dictionary::generate(300, 11));
-    let text = generate_text(&dict, 120_000, 12);
-    let chunks = chunk_text(&text, 16 * 1024);
-    let job = WoJob::new(dict, 4);
+) -> WoRun {
     let tuning = EngineTuning {
         pipeline_depth: depth,
         gpu_direct,
         ..EngineTuning::default()
     };
-    let result = run_job_tuned(&mut cluster, &job, chunks, &tuning).expect("job runs");
-    set_exec_backend(ExecBackend::Pool);
-    (result.outputs, result.timings)
+    let opts = RunOptions {
+        tuning,
+        ..RunOptions::default()
+    };
+    run_wo_with(workers, backend, plan, opts)
 }
 
-/// The WO job journaled to `path`: same cluster/workload as
-/// [`run_wo_faulted`], but every scheduling decision is written to (or
-/// replayed against) the write-ahead journal.
-fn run_wo_journaled(
-    workers: usize,
-    backend: ExecBackend,
-    journal: &mut gpmr::core::Journal,
-) -> (Vec<KvSet<u32, u32>>, gpmr::core::JobTimings) {
-    use gpmr::core::{run_job_journaled, EngineTuning};
-    set_exec_backend(backend);
-    let mut cluster = Cluster::new(Topology::new(2, 2, 2), GpuSpec::gt200());
-    cluster.set_fault_plan(None);
-    for rank in 0..4 {
-        cluster.gpu(rank).worker_threads = workers;
-    }
-    let dict = Arc::new(Dictionary::generate(300, 11));
-    let text = generate_text(&dict, 120_000, 12);
-    let chunks = chunk_text(&text, 16 * 1024);
-    let job = WoJob::new(dict, 4);
-    let result = run_job_journaled(
-        &mut cluster,
-        &job,
-        chunks,
-        &EngineTuning::default(),
-        &gpmr::telemetry::Telemetry::disabled(),
-        journal,
+/// The WO job with every scheduling decision written to (or replayed
+/// against) the write-ahead `journal`.
+fn run_wo_journaled(workers: usize, backend: ExecBackend, journal: &mut Journal) -> WoRun {
+    run_wo_with(
+        workers,
+        backend,
+        None,
+        RunOptions::default().with_journal(Some(journal)),
     )
-    .expect("journaled job runs");
-    set_exec_backend(ExecBackend::Pool);
-    (result.outputs, result.timings)
 }
 
 #[test]
@@ -239,7 +219,7 @@ fn interrupted_and_resumed_runs_match_uninterrupted_across_workers_and_backends(
     // combination, a journaled run interrupted halfway (journal truncated
     // at a record boundary) and resumed must match the uninterrupted run
     // bit-for-bit — outputs, simulated times, and the final journal.
-    use gpmr::core::{scan_bytes, Journal};
+    use gpmr::core::scan_bytes;
 
     let dir = std::env::temp_dir().join(format!("gpmr_det_resume_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -290,29 +270,38 @@ fn interrupted_and_resumed_runs_match_uninterrupted_across_workers_and_backends(
 
 #[test]
 fn classic_wrappers_match_the_controlled_entry_point() {
-    // run_job (and friends) are now thin wrappers over the controlled
-    // engine entry: calling the controlled path with an unrestricted
-    // control must be indistinguishable — outputs AND simulated times.
-    use gpmr::core::{run_job_controlled, EngineTuning, RunControl};
+    // run_job and run_job_instrumented are thin wrappers over `run`:
+    // calling `run` with every option spelled out at its default (default
+    // tuning, telemetry off, unrestricted control, no journal) must be
+    // indistinguishable from both — outputs AND simulated times.
+    use gpmr::core::{run_job_instrumented, RunControl};
     use gpmr::telemetry::Telemetry;
 
     let (base_out, base_times) = run_wo(1, ExecBackend::Pool);
 
-    let mut cluster = Cluster::new(Topology::new(2, 2, 2), GpuSpec::gt200());
+    let opts = RunOptions {
+        tuning: EngineTuning::default(),
+        telemetry: Telemetry::disabled(),
+        control: RunControl::default(),
+        journal: None,
+    };
+    let (out, times) = run_wo_with(1, ExecBackend::Pool, None, opts);
+    assert_eq!(out, base_out, "explicit defaults changed outputs");
+    assert_eq!(times, base_times, "explicit defaults changed times");
+
     let dict = Arc::new(Dictionary::generate(300, 11));
     let text = generate_text(&dict, 120_000, 12);
-    let chunks = chunk_text(&text, 16 * 1024);
-    let result = run_job_controlled(
+    let mut cluster = Cluster::new(Topology::new(2, 2, 2), GpuSpec::gt200());
+    let instrumented = run_job_instrumented(
         &mut cluster,
         &WoJob::new(dict, 4),
-        chunks,
+        chunk_text(&text, 16 * 1024),
         &EngineTuning::default(),
         &Telemetry::disabled(),
-        &RunControl::unrestricted(),
     )
-    .expect("controlled run completes");
-    assert_eq!(result.outputs, base_out, "controlled path changed outputs");
-    assert_eq!(result.timings, base_times, "controlled path changed times");
+    .expect("instrumented run completes");
+    assert_eq!(instrumented.outputs, base_out, "wrapper changed outputs");
+    assert_eq!(instrumented.timings, base_times, "wrapper changed times");
 }
 
 #[test]

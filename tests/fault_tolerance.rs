@@ -14,10 +14,11 @@
 use std::sync::Arc;
 
 use gpmr::apps::{text, wo};
-use gpmr::core::{run_job, run_job_traced, EngineError, EngineTuning, JobTimings, TraceKind};
+use gpmr::core::{run, run_job, EngineError, EngineTuning, JobResult, JobTimings, RunOptions};
 use gpmr::prelude::*;
 use gpmr::sim_gpu::FaultPlan;
 use gpmr::sim_net::TransferFault;
+use gpmr::telemetry::{Telemetry, TelemetrySnapshot};
 use gpmr_apps::sio::{self, sio_chunks};
 
 const RANKS: u32 = 4;
@@ -30,6 +31,26 @@ fn cluster_with(plan: Option<FaultPlan>) -> Cluster {
     let mut cluster = Cluster::accelerator(RANKS, GpuSpec::gt200());
     cluster.set_fault_plan(plan);
     cluster
+}
+
+/// Run the SIO job with telemetry on and return the result with its
+/// recording; the recorded spans are the execution trace.
+fn run_sio_traced(
+    cluster: &mut Cluster,
+    data: &[u32],
+) -> Result<(JobResult<u32, u32>, TelemetrySnapshot), EngineError> {
+    let tel = Telemetry::enabled();
+    let opts = RunOptions {
+        telemetry: tel.clone(),
+        ..RunOptions::default()
+    };
+    let result = run(
+        cluster,
+        &SioJob::default(),
+        sio_chunks(data, 16 * 1024),
+        opts,
+    )?;
+    Ok((result, tel.snapshot()))
 }
 
 /// Run the (integer-exact) SIO job under `plan`.
@@ -151,19 +172,15 @@ fn transient_transfer_failures_retry_and_converge() {
 
     let data = sio_data();
     let mut cluster = cluster_with(Some(plan));
-    let (result, trace) = run_job_traced(
-        &mut cluster,
-        &SioJob::default(),
-        sio_chunks(&data, 16 * 1024),
-    )
-    .expect("retries must mask transient failures");
+    let (result, trace) =
+        run_sio_traced(&mut cluster, &data).expect("retries must mask transient failures");
 
     assert_eq!(result.outputs, base_out, "outputs diverged under retries");
     assert!(
         result.timings.transfer_retries > 0,
         "retries must be counted in JobTimings"
     );
-    let retries_traced = trace.events_of(TraceKind::Retry).count() as u32;
+    let retries_traced = trace.spans_of("Retry").count() as u32;
     assert_eq!(
         retries_traced, result.timings.transfer_retries,
         "every retry must appear in the trace"
@@ -231,20 +248,14 @@ fn identical_seeds_reproduce_identical_plans_traces_and_timings() {
     let data = sio_data();
     let run = |plan: &FaultPlan| {
         let mut cluster = cluster_with(Some(plan.clone()));
-        run_job_traced(
-            &mut cluster,
-            &SioJob::default(),
-            sio_chunks(&data, 16 * 1024),
-        )
-        .expect("generated plans always leave a survivor")
+        run_sio_traced(&mut cluster, &data).expect("generated plans always leave a survivor")
     };
     let (res_a, trace_a) = run(&plan_a);
     let (res_b, trace_b) = run(&plan_b);
     assert_eq!(res_a.outputs, res_b.outputs);
     assert_eq!(res_a.timings, res_b.timings);
     assert_eq!(
-        trace_a.to_csv(),
-        trace_b.to_csv(),
+        trace_a.spans, trace_b.spans,
         "identical seeds must replay identical schedules"
     );
 }
@@ -260,17 +271,12 @@ fn mid_job_gpu_add_steals_work_and_preserves_output() {
     let data = sio_data();
     let mut cluster = Cluster::accelerator(RANKS + 1, GpuSpec::gt200());
     cluster.set_fault_plan(Some(FaultPlan::new().add(RANKS, join_at)));
-    let (result, trace) = run_job_traced(
-        &mut cluster,
-        &SioJob::default(),
-        sio_chunks(&data, 16 * 1024),
-    )
-    .expect("elastic run survives");
+    let (result, trace) = run_sio_traced(&mut cluster, &data).expect("elastic run survives");
     let (out, t) = (result.outputs, result.timings);
 
     assert_eq!(t.gpus_added, 1, "the join must be counted");
     assert_eq!(
-        trace.events_of(TraceKind::GpuAdded).count(),
+        trace.spans_of("GpuAdded").count(),
         1,
         "the join must appear in the trace"
     );
